@@ -12,6 +12,7 @@ package viper
 // paper-scale variants.
 
 import (
+	"context"
 	"testing"
 
 	"viper/internal/core"
@@ -195,7 +196,7 @@ func BenchmarkAblationDelta(b *testing.B) {
 	var res *experiments.DeltaAblationResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.RunDeltaAblation(20, nil, 2)
+		res, err = experiments.RunDeltaAblation(context.Background(), 20, nil, 2)
 		if err != nil {
 			b.Fatal(err)
 		}

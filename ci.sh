@@ -35,6 +35,12 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# The benchmark module (e2ebench/) imports this module through a replace
+# directive but is not part of ./..., so an API change here could break
+# it unnoticed until the benchmark itself runs. Vet and test it too.
+echo "==> e2ebench module (go vet + go test)"
+(cd e2ebench && go vet . && go test .)
+
 # The leakcheck-gated packages rerun uncached: a cached 'ok' would skip
 # the TestMain goroutine-leak check entirely, so -count=1 forces the
 # binaries to actually execute.

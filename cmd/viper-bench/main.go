@@ -187,7 +187,7 @@ func runAblations(quick bool) error {
 	if quick {
 		interval = 15
 	}
-	delta, err := experiments.RunDeltaAblation(interval, nil, 2)
+	delta, err := experiments.RunDeltaAblation(context.Background(), interval, nil, 2)
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,8 @@
 // Command viper-inspect dumps the contents of a serialized Viper
-// checkpoint file in any of the reproduction's wire formats: the lean
-// vformat, quantized (vquant), delta (vdelta), chunked v2 (vchunk),
-// manifest-bearing chunk-reconciliation blobs (vrecon), or the h5lite
-// baseline container. It auto-detects the format from the file's magic.
+// checkpoint file: a chunked v2 blob (vchunk), a manifest-bearing
+// chunk-reconciliation blob (vrecon), or the h5lite baseline container.
+// It auto-detects the format from the file's magic and rejects anything
+// else, including the retired v1 encodings.
 //
 // Usage:
 //
@@ -104,14 +104,11 @@ type jsonSummary struct {
 	Loss      float64 `json:"loss,omitempty"`
 	Tensors   int     `json:"tensors"`
 	Bytes     int64   `json:"payload_bytes,omitempty"`
-	// Chunked-container fields (format "vchunk" only).
+	// Chunked-container fields.
 	Precision  string `json:"precision,omitempty"`
 	ChunkElems int    `json:"chunk_elems,omitempty"`
 	TotalElems int64  `json:"total_elems,omitempty"`
 	NumChunks  int    `json:"num_chunks,omitempty"`
-	// Delta fields (format "vdelta" only).
-	BaseVersion uint64 `json:"base_version,omitempty"`
-	Changed     int    `json:"changed_elements,omitempty"`
 	// Reconciliation fields (format "vrecon" only): how many chunk
 	// records the blob carries vs. elides as deduplicated against a
 	// previously published version.
@@ -155,34 +152,10 @@ func inspect(blob []byte, stats, jsonOut bool) error {
 	}
 	e := newEmitter(jsonOut, stats)
 	switch string(blob[:8]) {
-	case "VPRF0001":
-		ckpt, err := vformat.Decode(blob)
-		if err != nil {
-			return err
-		}
-		if !e.json {
-			fmt.Printf("format:    vformat (lean full checkpoint)\n")
-		}
-		e.checkpoint(ckpt, jsonSummary{Format: "vformat"})
-	case "VPRQ0001":
-		ckpt, prec, err := vformat.DecodeQuantized(blob)
-		if err != nil {
-			return err
-		}
-		if !e.json {
-			fmt.Printf("format:    vquant (wire precision %s)\n", prec)
-		}
-		e.checkpoint(ckpt, jsonSummary{Format: "vquant", Precision: prec.String()})
 	case "VPRC0002":
 		return e.chunked(blob)
 	case "VPRM0001":
 		return e.manifest(blob)
-	case "VPRD0001":
-		delta, err := vformat.DecodeDelta(blob)
-		if err != nil {
-			return err
-		}
-		return e.delta(delta)
 	case "H5LT0001":
 		f, err := h5lite.Decode(blob)
 		if err != nil {
@@ -244,9 +217,6 @@ func inspectRelay(addr string, jsonOut bool) error {
 			status = "CORRUPT"
 		}
 		chunks := fmt.Sprintf("%d chunks", v.Chunks)
-		if v.Chunks == 0 {
-			chunks = "monolithic"
-		}
 		extra := ""
 		if v.Deduped > 0 {
 			extra = fmt.Sprintf("  %d deduped", v.Deduped)
@@ -479,65 +449,6 @@ func (e *emitter) manifest(blob []byte) error {
 		fmt.Printf("  chunk %-4d hash %s  %s\n", i, h, origin)
 	}
 	return nil
-}
-
-func (e *emitter) delta(delta *vformat.DeltaCheckpoint) error {
-	if e.json {
-		e.enc.Encode(jsonSummary{
-			Kind: "checkpoint", Format: "vdelta",
-			Model: delta.ModelName, Version: delta.Version,
-			Iteration: delta.Iteration, Loss: delta.TrainLoss,
-			Tensors: len(delta.Deltas), BaseVersion: delta.BaseVersion,
-			Changed: delta.ChangedElements(),
-		})
-		for _, td := range delta.Deltas {
-			n := len(td.Indices)
-			if td.Dense != nil {
-				n = len(td.Dense)
-			}
-			e.enc.Encode(jsonTensor{Kind: "tensor", Name: td.Name, Elements: n})
-		}
-		return nil
-	}
-	fmt.Printf("format:    vdelta (incremental checkpoint)\n")
-	fmt.Printf("model:     %s\n", delta.ModelName)
-	fmt.Printf("version:   %d (applies to v%d)\n", delta.Version, delta.BaseVersion)
-	fmt.Printf("iteration: %d\n", delta.Iteration)
-	fmt.Printf("loss:      %g\n", delta.TrainLoss)
-	fmt.Printf("tensors:   %d, changed elements: %d\n", len(delta.Deltas), delta.ChangedElements())
-	if e.stats {
-		for _, td := range delta.Deltas {
-			if td.Dense != nil {
-				fmt.Printf("  %-32s dense replacement of %d elements\n", td.Name, len(td.Dense))
-			} else {
-				fmt.Printf("  %-32s sparse update of %d elements\n", td.Name, len(td.Indices))
-			}
-		}
-	}
-	return nil
-}
-
-// checkpoint emits a full-checkpoint summary plus its tensors.
-func (e *emitter) checkpoint(ckpt *vformat.Checkpoint, s jsonSummary) {
-	if e.json {
-		s.Kind = "checkpoint"
-		s.Model = ckpt.ModelName
-		s.Version = ckpt.Version
-		s.Iteration = ckpt.Iteration
-		s.Loss = ckpt.TrainLoss
-		s.Tensors = len(ckpt.Weights)
-		s.Bytes = ckpt.Weights.NumBytes()
-		e.enc.Encode(s)
-	} else {
-		fmt.Printf("model:     %s\n", ckpt.ModelName)
-		fmt.Printf("version:   %d\n", ckpt.Version)
-		fmt.Printf("iteration: %d\n", ckpt.Iteration)
-		fmt.Printf("loss:      %g\n", ckpt.TrainLoss)
-		fmt.Printf("tensors:   %d, payload: %d bytes\n", len(ckpt.Weights), ckpt.Weights.NumBytes())
-	}
-	for _, nt := range ckpt.Weights {
-		e.tensor(nt.Name, nt.Shape, nt.Data)
-	}
 }
 
 // tensor emits one tensor line in the active mode.

@@ -57,6 +57,32 @@ func TestInspectTooShort(t *testing.T) {
 	}
 }
 
+// TestRetiredMagicsRejected: the v1 encodings — lean (VPRF), quantized
+// (VPRQ) and delta (VPRD) — are no longer a wire format, so both the
+// inspector and vformat.DecodeAuto refuse them instead of decoding.
+func TestRetiredMagicsRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	ckpt := &vformat.Checkpoint{ModelName: "m", Version: 1,
+		Weights: nn.TakeSnapshot(nn.NewSequential("m", nn.NewDense("d", 4, 4, rng)))}
+	v1, err := ckpt.Encode() // the serial reference layout, magic VPRF0001
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, magic := range []string{"VPRF0001", "VPRQ0001", "VPRD0001"} {
+		t.Run(magic, func(t *testing.T) {
+			blob := append([]byte(magic), v1[len(magic):]...)
+			for _, jsonOut := range []bool{false, true} {
+				if err := inspect(blob, false, jsonOut); err == nil {
+					t.Fatalf("inspect(json=%v) accepted retired magic %s", jsonOut, magic)
+				}
+			}
+			if _, err := vformat.DecodeAuto(context.Background(), blob, 0); err == nil {
+				t.Fatalf("DecodeAuto accepted retired magic %s", magic)
+			}
+		})
+	}
+}
+
 // TestInspectRelay pushes one chunked version into a live relay and
 // dumps its inventory in both output modes; an unreachable relay must
 // surface as an error.

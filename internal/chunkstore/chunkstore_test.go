@@ -113,8 +113,8 @@ func TestMonolithicRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, blob) {
 		t.Fatal("monolithic round-trip mismatch")
 	}
-	if _, err := vformat.DecodeAuto(context.Background(), got, 0); err != nil {
-		t.Fatalf("DecodeAuto: %v", err)
+	if _, err := vformat.Decode(got); err != nil {
+		t.Fatalf("Decode: %v", err)
 	}
 }
 

@@ -233,8 +233,8 @@ func TestChunkedReconAccountedSize(t *testing.T) {
 }
 
 // TestChunkedReconColdCacheErrors: a consumer that joins mid-chain has
-// no chunks to reconcile against — the vrecon load fails loudly (like a
-// broken vdelta chain) and the next scheduled full refresh repairs it.
+// no chunks to reconcile against — the vrecon load fails loudly and the
+// next scheduled full refresh repairs it.
 func TestChunkedReconColdCacheErrors(t *testing.T) {
 	env, h, c1 := chunkedHandlerConsumer(t, HandlerConfig{
 		Model:       "tc1",
@@ -254,7 +254,7 @@ func TestChunkedReconColdCacheErrors(t *testing.T) {
 	}
 
 	// A late joiner with its own links misses v1 entirely.
-	c2, err := NewExtraConsumer(env, "tc1", nil)
+	c2, err := NewConsumerOpts(env, "tc1", ConsumerOptions{ExtraLinks: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"viper/internal/chunkstore"
 	"viper/internal/models"
 	"viper/internal/nn"
 	"viper/internal/simclock"
@@ -72,7 +73,7 @@ func TestMetaEncodeDecodeRoundTrip(t *testing.T) {
 	m := &ModelMeta{
 		Name: "tc1", Version: 3, Iteration: 650, TrainLoss: 0.12,
 		Location: RouteGPU, Path: "tc1/v00000003", Size: models.SizeTC1,
-		Format: "vformat", SavedAt: time.Unix(100, 0),
+		Format: "vchunk", SavedAt: time.Unix(100, 0),
 	}
 	s, err := m.Encode()
 	if err != nil {
@@ -363,6 +364,67 @@ func TestMemoryTierKeepsOnlyLatest(t *testing.T) {
 	}
 	if !gpu.Has(CheckpointKey("m", 2)) {
 		t.Fatal("latest checkpoint must be buffered")
+	}
+}
+
+// TestMemoryTiersHoldOneCheckpoint: memory tiers buffer only the
+// latest model even with capacity to spare — after N saves the
+// producer's capture tier and the consumer's landing tier each hold
+// exactly one key for the model, on both memory routes.
+func TestMemoryTiersHoldOneCheckpoint(t *testing.T) {
+	for _, route := range []Route{RouteGPU, RouteHost} {
+		env, _ := newTestEnv()
+		h, err := NewWeightsHandler(env, HandlerConfig{Model: "m", Strategy: Strategy{Route: route, Mode: ModeSync}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cons, err := NewConsumer(env, "m", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := testModel(12)
+		const saves = 5
+		for v := 1; v <= saves; v++ {
+			if _, err := h.Save(nn.TakeSnapshot(model), uint64(v), 0.5); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := pollViaMeta(cons); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prod, landing := env.Cluster.Producer.GPU, env.Cluster.Consumer.GPU
+		if route == RouteHost {
+			prod, landing = env.Cluster.Producer.Host, env.Cluster.Consumer.Host
+		}
+		latest := CheckpointKey("m", saves)
+		for name, d := range map[string]interface{ Keys() []string }{"producer": prod, "consumer": landing} {
+			if keys := d.Keys(); len(keys) != 1 || keys[0] != latest {
+				t.Fatalf("%s %s tier holds %v after %d saves, want only %s", route, name, keys, saves, latest)
+			}
+		}
+		env.Close()
+	}
+}
+
+// TestBaselineRejectsTimeTravel: the store reloads only Viper blobs, so
+// attaching one to the h5 baseline is refused at construction rather
+// than failing at LoadVersion/Rollback.
+func TestBaselineRejectsTimeTravel(t *testing.T) {
+	env, _ := newTestEnv()
+	st, err := chunkstore.Open(t.TempDir(), chunkstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := NewWeightsHandler(env, HandlerConfig{
+		Model: "m", Strategy: Strategy{Route: RoutePFS, Baseline: true}, Store: st,
+	}); err == nil {
+		t.Fatal("baseline + time-travel store must be rejected")
+	}
+	if _, err := NewWeightsHandler(env, HandlerConfig{
+		Model: "m", Strategy: Strategy{Route: RoutePFS}, Store: st,
+	}); err != nil {
+		t.Fatalf("viper-pfs + time-travel store: %v", err)
 	}
 }
 

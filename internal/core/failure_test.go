@@ -30,7 +30,7 @@ func TestLoadUnknownLocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := &ModelMeta{Name: "m", Version: 1, Location: "tape", Path: "m/v1", Format: "vformat"}
+	meta := &ModelMeta{Name: "m", Version: 1, Location: "tape", Path: "m/v1", Format: "vchunk"}
 	if _, err := cons.Load(meta); err == nil || !strings.Contains(err.Error(), "unknown checkpoint location") {
 		t.Fatalf("err = %v", err)
 	}
@@ -45,9 +45,12 @@ func TestLoadUnknownFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := &ModelMeta{Name: "m", Version: 1, Location: RoutePFS, Path: "m/v1", Format: "pickle"}
-	if _, err := cons.Load(meta); err == nil || !strings.Contains(err.Error(), "unknown checkpoint format") {
-		t.Fatalf("err = %v", err)
+	// The retired v1 formats are as unknown as a foreign one.
+	for _, format := range []string{"pickle", "vformat", "vquant", "vdelta"} {
+		meta := &ModelMeta{Name: "m", Version: 1, Location: RoutePFS, Path: "m/v1", Format: format}
+		if _, err := cons.Load(meta); err == nil || !strings.Contains(err.Error(), "unknown checkpoint format") {
+			t.Fatalf("%s: err = %v", format, err)
+		}
 	}
 }
 
@@ -57,7 +60,7 @@ func TestLoadMissingPFSKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := &ModelMeta{Name: "m", Version: 1, Location: RoutePFS, Path: "m/ghost", Format: "vformat"}
+	meta := &ModelMeta{Name: "m", Version: 1, Location: RoutePFS, Path: "m/ghost", Format: "vchunk"}
 	if _, err := cons.Load(meta); err == nil {
 		t.Fatal("missing PFS object must error")
 	}
@@ -72,7 +75,7 @@ func TestLoadCorruptPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := &ModelMeta{Name: "m", Version: 1, Location: RoutePFS, Path: "m/v1", Format: "vformat"}
+	meta := &ModelMeta{Name: "m", Version: 1, Location: RoutePFS, Path: "m/v1", Format: "vchunk"}
 	if _, err := cons.Load(meta); err == nil {
 		t.Fatal("corrupt payload must error")
 	}

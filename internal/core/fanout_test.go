@@ -26,7 +26,7 @@ func TestMultiConsumerBroadcast(t *testing.T) {
 		if i == 0 {
 			consumers[i], err = NewConsumer(env, "m", servings[i])
 		} else {
-			consumers[i], err = NewExtraConsumer(env, "m", servings[i])
+			consumers[i], err = NewConsumerOpts(env, "m", ConsumerOptions{Serving: servings[i], ExtraLinks: true})
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -131,7 +131,7 @@ func TestRecoverFromPFSSkipsDeltas(t *testing.T) {
 	src := testModel(250)
 	h, err := NewWeightsHandler(env, HandlerConfig{
 		Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync},
-		FlushHistory: true, Incremental: true, FullEvery: 10,
+		FlushHistory: true, Incremental: true, FullEvery: 10, ChunkSize: 256,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestRecoverFromPFSSkipsDeltas(t *testing.T) {
 	rng := rand.New(rand.NewSource(251))
 	// v1 full (flushed), v2/v3 deltas (not flushed).
 	for v := 1; v <= 3; v++ {
-		perturb(src, rng, 0.05, 0.1)
+		nudge(src, rng, 1, 0.1)
 		if _, err := h.Save(nn.TakeSnapshot(src), uint64(v), 0.5); err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestProducerResumeFrom(t *testing.T) {
 	if rep.Meta.Version != 3 {
 		t.Fatalf("resumed version = %d, want 3", rep.Meta.Version)
 	}
-	if rep.Meta.Format != "vformat" {
+	if rep.Meta.Format != "vchunk" {
 		t.Fatalf("first post-restart save format = %q, want full", rep.Meta.Format)
 	}
 	if _, ok, err := pollViaMeta(cons); err != nil || !ok {

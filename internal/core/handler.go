@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -154,10 +155,10 @@ type WeightsHandler struct {
 	mu       sync.Mutex
 	version  uint64
 	stats    HandlerStats
-	lastSent nn.Snapshot // previous published weights (incremental mode)
+	lastSent nn.Snapshot // last published wire values (incremental mode)
 	// lastHashes are the per-chunk content hashes of the last published
-	// chunked checkpoint — the set a "vrecon" manifest may elide against
-	// (chunked incremental mode only).
+	// checkpoint — the set a "vrecon" manifest may elide against
+	// (incremental mode only).
 	lastHashes []vformat.ChunkHash
 	// pendingBase/pendingHashes stage the incremental state computed by
 	// encodeChunked until SaveContext commits the save; a failed save
@@ -173,39 +174,37 @@ type HandlerConfig struct {
 	// Strategy selects route/mode/baseline.
 	Strategy Strategy
 	// VirtualSize is the accounted checkpoint size in bytes (e.g.
-	// models.SizeTC1); 0 accounts the real payload size. Delta and
-	// quantized transfers scale it by their actual payload ratio.
+	// models.SizeTC1); 0 accounts the real payload size. Reduced
+	// precision and "vrecon" deltas scale it by their payload ratio.
 	VirtualSize int64
 	// FlushHistory enables background PFS flushes of every checkpoint.
 	FlushHistory bool
 	// Precision selects the wire precision for memory-route transfers
-	// (PrecFloat64 = lossless default). Mutually exclusive with
-	// Incremental and ignored for the baseline strategy.
+	// (PrecFloat64 = lossless default), converted in-stride by the chunk
+	// encoder. Mutually exclusive with Incremental and ignored for the
+	// baseline strategy.
 	Precision vformat.Precision
-	// Incremental enables delta checkpointing (Check-N-Run style): only
-	// elements changed since the previous checkpoint are shipped, with a
-	// full refresh every FullEvery versions. Incremental transfers use
-	// ordered (non-dropping) delivery, so the consumer must keep up.
+	// Incremental enables delta checkpointing (Check-N-Run style):
+	// between full refreshes every FullEvery versions, a save ships as a
+	// "vrecon" manifest blob carrying only the chunks that changed.
+	// Incremental transfers use ordered (non-dropping) delivery, so the
+	// consumer must keep up.
 	Incremental bool
 	// DeltaEps suppresses element changes with |Δ| <= eps (0 = exact).
 	DeltaEps float64
 	// FullEvery is the full-refresh cadence for incremental mode
 	// (default 10).
 	FullEvery int
-	// ChunkSize enables the chunked pipeline (wire format v2): full
-	// checkpoints are split into ChunkSize-byte chunks encoded by a
-	// worker pool into one pooled blob, with precision conversion folded
-	// into the chunk encoding. 0 keeps the legacy monolithic formats
-	// ("vformat"/"vquant"); the functional-options public API defaults to
-	// vformat.DefaultChunkBytes. Ignored for the baseline strategy.
+	// ChunkSize is the chunked pipeline's chunk payload size in bytes
+	// (0 = vformat.DefaultChunkBytes). Ignored for the baseline strategy.
 	ChunkSize int
-	// Parallelism bounds the encode worker pool and parallel delta
-	// computation (0 = GOMAXPROCS).
+	// Parallelism bounds the chunk encode worker pool (0 = GOMAXPROCS).
 	Parallelism int
 	// Store, when non-nil, attaches a durable time-travel store: every
-	// self-contained checkpoint (not "vdelta"/"vrecon" increments, which
-	// cannot replay alone) is written through at save time. The caller
-	// owns the store's lifecycle.
+	// self-contained checkpoint (not "vrecon" increments, which cannot
+	// replay alone) is written through at save time. The caller owns the
+	// store's lifecycle. Not available with the baseline strategy, whose
+	// h5 payloads the store cannot reload.
 	Store *chunkstore.Store
 }
 
@@ -233,6 +232,9 @@ func NewWeightsHandler(env *Env, cfg HandlerConfig) (*WeightsHandler, error) {
 	}
 	if cfg.Incremental && cfg.Strategy.Baseline {
 		return nil, errors.New("core: incremental transfer is not available for the baseline strategy")
+	}
+	if cfg.Store != nil && cfg.Strategy.Baseline {
+		return nil, errors.New("core: time travel is not available for the baseline strategy")
 	}
 	if cfg.DeltaEps < 0 {
 		return nil, fmt.Errorf("core: negative delta threshold %v", cfg.DeltaEps)
@@ -346,91 +348,24 @@ func (h *WeightsHandler) Rollback(ctx context.Context, version uint64) (*vformat
 }
 
 // encode serializes the checkpoint in the strategy's format and returns
-// (payload, format, accounted size). Depending on configuration this is
-// the lean full format, the h5 baseline, a quantized encoding, the
-// chunked v2 pipeline output, or — in incremental mode — a delta against
-// the previously published weights.
+// (payload, format, accounted size): the h5 baseline, or the chunked v2
+// pipeline output — a full "vchunk" blob or, in incremental mode, a
+// "vrecon" delta against the previously published version.
 func (h *WeightsHandler) encode(ctx context.Context, ckpt *vformat.Checkpoint) ([]byte, string, int64, error) {
-	if h.strategy.Baseline {
-		payload, err := encodeH5(ckpt)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		size := h.virtualSize
-		if size <= 0 {
-			size = int64(len(payload))
-		}
-		// The baseline pays for its fragmented metadata-heavy layout.
-		size = int64(float64(size) * H5FragmentationFactor)
-		return payload, "h5", size, nil
-	}
-	if h.chunkSize > 0 {
+	if !h.strategy.Baseline {
 		return h.encodeChunked(ctx, ckpt)
 	}
-	full, err := ckpt.Encode()
+	payload, err := encodeH5(ckpt)
 	if err != nil {
 		return nil, "", 0, err
 	}
-	baseSize := h.virtualSize
-	if baseSize <= 0 {
-		baseSize = int64(len(full))
+	size := h.virtualSize
+	if size <= 0 {
+		size = int64(len(payload))
 	}
-	scale := func(payloadLen int) int64 {
-		s := int64(float64(baseSize) * float64(payloadLen) / float64(len(full)))
-		if s < 1 {
-			s = 1
-		}
-		return s
-	}
-	if payload, ok, err := h.encodeDelta(ckpt, len(full)); err != nil {
-		return nil, "", 0, err
-	} else if ok {
-		return payload, "vdelta", scale(len(payload)), nil
-	}
-	if h.precision != vformat.PrecFloat64 {
-		payload, err := vformat.EncodeQuantized(ckpt, h.precision)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		return payload, "vquant", scale(len(payload)), nil
-	}
-	return full, "vformat", baseSize, nil
-}
-
-// encodeDelta attempts the incremental encoding: when a base exists and
-// this version is not a scheduled full refresh, it computes the delta
-// (fanned over the handler's worker budget) and reports whether the
-// sparse form actually beats a full encode of fullLen bytes.
-func (h *WeightsHandler) encodeDelta(ckpt *vformat.Checkpoint, fullLen int) ([]byte, bool, error) {
-	if !h.incremental {
-		return nil, false, nil
-	}
-	h.mu.Lock()
-	last := h.lastSent
-	h.mu.Unlock()
-	// Full refresh on the first version and every fullEvery-th one,
-	// bounding how long a consumer can be stuck on a broken chain.
-	if last == nil || (ckpt.Version-1)%uint64(h.fullEvery) == 0 {
-		return nil, false, nil
-	}
-	delta, err := vformat.ComputeDeltaParallel(last, ckpt.Weights, h.deltaEps, h.parallelism)
-	if err != nil {
-		return nil, false, fmt.Errorf("core: computing delta: %w", err)
-	}
-	delta.ModelName = ckpt.ModelName
-	delta.Version = ckpt.Version
-	delta.BaseVersion = ckpt.Version - 1
-	delta.Iteration = ckpt.Iteration
-	delta.TrainLoss = ckpt.TrainLoss
-	payload, err := delta.Encode()
-	if err != nil {
-		return nil, false, err
-	}
-	if len(payload) >= fullLen {
-		// Dense changes: the delta saves nothing, ship the full.
-		return nil, false, nil
-	}
-	return payload, true, nil
+	// The baseline pays for its fragmented metadata-heavy layout.
+	size = int64(float64(size) * H5FragmentationFactor)
+	return payload, "h5", size, nil
 }
 
 // encodeChunked is the chunked-pipeline encode: full checkpoints become
@@ -448,8 +383,7 @@ func (h *WeightsHandler) encodeDelta(ckpt *vformat.Checkpoint, fullLen int) ([]b
 // remote transport.
 func (h *WeightsHandler) encodeChunked(ctx context.Context, ckpt *vformat.Checkpoint) ([]byte, string, int64, error) {
 	// The payload-equivalent of a lean full encode (8 bytes/element),
-	// the reference for virtual-size scaling — computed without actually
-	// doing a monolithic encode.
+	// the reference for virtual-size scaling.
 	physFull := ckpt.Weights.NumBytes()
 	if physFull < 1 {
 		physFull = 1
@@ -470,7 +404,7 @@ func (h *WeightsHandler) encodeChunked(ctx context.Context, ckpt *vformat.Checkp
 	// bounding how long a restarted consumer can be stuck reconciling
 	// against chunks it never cached.
 	recon := h.incremental && base != nil && len(prev) > 0 &&
-		(ckpt.Version-1)%uint64(h.fullEvery) != 0 && sameStructure(base, ckpt.Weights)
+		(ckpt.Version-1)%uint64(h.fullEvery) != 0 && vformat.SameShape(base, ckpt.Weights)
 	if recon {
 		opts.Base, opts.BaseEps = base, h.deltaEps
 	}
@@ -539,20 +473,6 @@ func (h *WeightsHandler) encodeChunked(ctx context.Context, ckpt *vformat.Checkp
 	}
 	//lint:ignore poolown the blob's ownership transfers to the storage tiers/links below; Release here would double-issue the pooled buffer
 	return blob, "vchunk", size, nil
-}
-
-// sameStructure reports whether two snapshots share tensor names and
-// sizes — the prerequisite for base-suppressed chunk encoding.
-func sameStructure(a, b nn.Snapshot) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Name != b[i].Name || len(a[i].Data) != len(b[i].Data) {
-			return false
-		}
-	}
-	return true
 }
 
 // Save checkpoints the given snapshot taken at iteration with the
@@ -633,10 +553,10 @@ func (h *WeightsHandler) SaveContext(ctx context.Context, snapshot nn.Snapshot, 
 		}
 		// Fault-tolerance flush to PFS in the background: it consumes
 		// PFS time but does not stall training; account it separately.
-		// Deltas and reconciled chunk subsets are not flushed — a
-		// recovery cannot replay a chain — so the PFS history holds only
-		// self-contained checkpoints.
-		if h.flushHistory && location != RoutePFS && format != "vdelta" && format != "vrecon" {
+		// Reconciled chunk subsets are not flushed — a recovery cannot
+		// replay a chain — so the PFS history holds only self-contained
+		// checkpoints.
+		if h.flushHistory && location != RoutePFS && format != "vrecon" {
 			if err := h.env.Cluster.PFS.Put(key, payload, size); err == nil {
 				flushTime = h.env.Cluster.PFS.WriteTime(size)
 				h.mu.Lock()
@@ -674,11 +594,10 @@ func (h *WeightsHandler) SaveContext(ctx context.Context, snapshot nn.Snapshot, 
 		h.env.Notify.Publish(UpdateChannel(h.model), encoded)
 	}
 
-	// Time-travel write-through: deltas and reconciled subsets are
-	// skipped for the same reason the PFS flush skips them — a replay
-	// cannot reconstruct a chain — so the store holds only
-	// self-contained versions.
-	if h.store != nil && format != "vdelta" && format != "vrecon" {
+	// Time-travel write-through: reconciled subsets are skipped for the
+	// same reason the PFS flush skips them — a replay cannot reconstruct
+	// a chain — so the store holds only self-contained versions.
+	if h.store != nil && format != "vrecon" {
 		err := h.store.PutBlob(h.model, version, key, payload)
 		h.mu.Lock()
 		if err == nil {
@@ -698,14 +617,10 @@ func (h *WeightsHandler) SaveContext(ctx context.Context, snapshot nn.Snapshot, 
 	h.stats.Saves++
 	h.stats.TotalStall += stall
 	if h.incremental {
-		if h.chunkSize > 0 {
-			// encodeChunked staged this version's wire-value base and
-			// chunk hashes; commit them only now that the save landed.
-			h.lastSent, h.lastHashes = h.pendingBase, h.pendingHashes
-			h.pendingBase, h.pendingHashes = nil, nil
-		} else {
-			h.lastSent = snapshot.Clone()
-		}
+		// encodeChunked staged this version's wire-value base and chunk
+		// hashes; commit them only now that the save landed.
+		h.lastSent, h.lastHashes = h.pendingBase, h.pendingHashes
+		h.pendingBase, h.pendingHashes = nil, nil
 	}
 	h.mu.Unlock()
 	h.env.Trace.Record(trace.Event{
@@ -730,8 +645,8 @@ func (h *WeightsHandler) captureDevice() *memsim.Device {
 // captureWithFallback writes the checkpoint into the preferred memory
 // tier, degrading GPU→host→PFS when capacity runs out — the transfer
 // selector's fallback from §4.4. It keeps only the latest checkpoint in
-// memory tiers (evicting older versions first), mirroring the paper's
-// "only buffer the latest DNN model" policy.
+// memory tiers (dropping the model's older versions first), mirroring
+// the paper's "only buffer the latest DNN model" policy.
 func (h *WeightsHandler) captureWithFallback(device *memsim.Device, key string, payload []byte, size int64, location *Route) error {
 	devices := []*memsim.Device{device}
 	routes := []Route{*location}
@@ -740,6 +655,7 @@ func (h *WeightsHandler) captureWithFallback(device *memsim.Device, key string, 
 		routes = append(routes, RouteHost)
 	}
 	for i, d := range devices {
+		keepOnly(d, h.model, key)
 		d.EvictOldest(size)
 		err := d.Write(key, payload, size)
 		if err == nil {
@@ -764,6 +680,19 @@ func (h *WeightsHandler) captureWithFallback(device *memsim.Device, key string, 
 	h.stats.Fallbacks++
 	h.mu.Unlock()
 	return nil
+}
+
+// keepOnly deletes every checkpoint of model held in a memory tier
+// except key, the version about to be written: memory tiers buffer
+// only the latest model, whatever the tier's spare capacity.
+// EvictOldest still makes room under pressure from other models.
+func keepOnly(d *memsim.Device, model, key string) {
+	prefix := model + "/v" // every CheckpointKey of model
+	for _, k := range d.Keys() {
+		if k != key && strings.HasPrefix(k, prefix) {
+			_ = d.Delete(k)
+		}
+	}
 }
 
 // sendFrame ships the captured checkpoint over the link matching its

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -27,7 +28,19 @@ func perturb(m nn.Model, rng *rand.Rand, fraction, scale float64) {
 	}
 }
 
+// nudge moves n randomly chosen weights of the model: a sparse edit
+// that dirties at most n chunks.
+func nudge(m nn.Model, rng *rand.Rand, n int, scale float64) {
+	params := m.Params()
+	for i := 0; i < n; i++ {
+		d := params[rng.Intn(len(params))].Value.Data()
+		d[rng.Intn(len(d))] += scale * (1 + rng.Float64())
+	}
+}
+
 // incrementalPair builds a producer/consumer wired for delta transfer.
+// 256-byte chunks hold 32 float64s, so the 212-param test model spans
+// 7 chunks and a sparse edit leaves most of them to reconcile.
 func incrementalPair(t *testing.T, fullEvery int, virtualSize int64) (*WeightsHandler, *Consumer, *nn.Sequential, *nn.Sequential, *Env) {
 	t.Helper()
 	env, _ := newTestEnv()
@@ -39,6 +52,7 @@ func incrementalPair(t *testing.T, fullEvery int, virtualSize int64) (*WeightsHa
 		Incremental: true,
 		FullEvery:   fullEvery,
 		VirtualSize: virtualSize,
+		ChunkSize:   256,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +70,7 @@ func TestIncrementalFirstSaveIsFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Meta.Format != "vformat" {
+	if rep.Meta.Format != "vchunk" {
 		t.Fatalf("first save format = %q, want full", rep.Meta.Format)
 	}
 	if _, ok, err := pollViaMeta(cons); err != nil || !ok {
@@ -83,15 +97,15 @@ func TestIncrementalDeltaChainRoundTrip(t *testing.T) {
 	const updates = 5
 	for v := 1; v <= updates; v++ {
 		if v > 1 {
-			perturb(src, rng, 0.05, 0.2) // sparse weight changes
+			nudge(src, rng, 2, 0.2) // sparse weight changes
 		}
 		rep, err := h.Save(nn.TakeSnapshot(src), uint64(v), 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantFormat := "vdelta"
+		wantFormat := "vrecon"
 		if v == 1 {
-			wantFormat = "vformat"
+			wantFormat = "vchunk"
 		}
 		if rep.Meta.Format != wantFormat {
 			t.Fatalf("save %d format = %q, want %q", v, rep.Meta.Format, wantFormat)
@@ -109,8 +123,16 @@ func TestIncrementalDeltaChainRoundTrip(t *testing.T) {
 
 func TestIncrementalDeltaSmallerAccountedSize(t *testing.T) {
 	const full = 1 << 30
-	h, cons, src, _, _ := incrementalPair(t, 10, full)
+	h, _, _, _, env := incrementalPair(t, 10, full)
+	cons, err := NewConsumer(env, "m", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(8))
+	// A 4160-param model spans 130 chunks, so the manifest's fixed cost
+	// (header plus 16 bytes per chunk) is small against the payload, as
+	// at any real model size.
+	src := nn.NewSequential("m", nn.NewDense("d", 64, 64, rng))
 	rep1, err := h.Save(nn.TakeSnapshot(src), 1, 0.9)
 	if err != nil {
 		t.Fatal(err)
@@ -121,12 +143,12 @@ func TestIncrementalDeltaSmallerAccountedSize(t *testing.T) {
 	if rep1.Meta.Size != full {
 		t.Fatalf("full size = %d, want %d", rep1.Meta.Size, full)
 	}
-	perturb(src, rng, 0.02, 0.1)
+	nudge(src, rng, 4, 0.1)
 	rep2, err := h.Save(nn.TakeSnapshot(src), 2, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Meta.Format != "vdelta" {
+	if rep2.Meta.Format != "vrecon" {
 		t.Fatalf("format = %q", rep2.Meta.Format)
 	}
 	if rep2.Meta.Size >= full/4 {
@@ -143,7 +165,7 @@ func TestIncrementalFullRefreshCadence(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	formats := []string{}
 	for v := 1; v <= 7; v++ {
-		perturb(src, rng, 0.05, 0.1)
+		nudge(src, rng, 1, 0.1)
 		rep, err := h.Save(nn.TakeSnapshot(src), uint64(v), 0.5)
 		if err != nil {
 			t.Fatal(err)
@@ -154,7 +176,7 @@ func TestIncrementalFullRefreshCadence(t *testing.T) {
 		}
 	}
 	// FullEvery=3: versions 1, 4, 7 are full.
-	want := []string{"vformat", "vdelta", "vdelta", "vformat", "vdelta", "vdelta", "vformat"}
+	want := []string{"vchunk", "vrecon", "vrecon", "vchunk", "vrecon", "vrecon", "vchunk"}
 	if strings.Join(formats, ",") != strings.Join(want, ",") {
 		t.Fatalf("formats = %v, want %v", formats, want)
 	}
@@ -162,18 +184,17 @@ func TestIncrementalFullRefreshCadence(t *testing.T) {
 
 func TestIncrementalChainBreakDetected(t *testing.T) {
 	h, cons, src, _, _ := incrementalPair(t, 100, 0)
-	rng := rand.New(rand.NewSource(10))
 	if _, err := h.Save(nn.TakeSnapshot(src), 1, 0.9); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := pollViaMeta(cons); err != nil {
 		t.Fatal(err)
 	}
-	// Publish v2 and v3 but have the consumer skip v2's frame by loading
-	// with v3's metadata while v2's delta is still queued: the drain is
-	// disabled for deltas, so it applies v2's frame against v1 fine; to
-	// force a break we instead drop v2 entirely from the consumer side.
-	perturb(src, rng, 0.05, 0.1)
+	// v2 edits the first chunk; the consumer never sees it. v3 edits
+	// the last chunk only, so its manifest elides v2's first chunk — a
+	// record the consumer's cache (seeded by v1) cannot supply.
+	params := src.Params()
+	params[0].Value.Data()[0] += 0.5
 	if _, err := h.Save(nn.TakeSnapshot(src), 2, 0.8); err != nil {
 		t.Fatal(err)
 	}
@@ -182,16 +203,21 @@ func TestIncrementalChainBreakDetected(t *testing.T) {
 	if _, ok := env.GPULink.TryRecv(); !ok {
 		t.Fatal("expected v2 frame queued")
 	}
-	perturb(src, rng, 0.05, 0.1)
-	if _, err := h.Save(nn.TakeSnapshot(src), 3, 0.7); err != nil {
+	last := params[len(params)-1].Value.Data()
+	last[len(last)-1] += 0.5
+	rep, err := h.Save(nn.TakeSnapshot(src), 3, 0.7)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.Meta.Format != "vrecon" {
+		t.Fatalf("v3 format = %q, want vrecon", rep.Meta.Format)
 	}
 	meta, err := cons.LatestMeta()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cons.Load(meta); err == nil || !strings.Contains(err.Error(), "chain broken") {
-		t.Fatalf("err = %v, want chain-broken", err)
+	if _, err := cons.Load(meta); !errors.Is(err, vformat.ErrMissingChunk) {
+		t.Fatalf("err = %v, want ErrMissingChunk for the broken chain", err)
 	}
 }
 
@@ -215,7 +241,7 @@ func TestQuantizedTransferFloat32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Meta.Format != "vquant" {
+	if rep.Meta.Format != "vchunk" {
 		t.Fatalf("format = %q", rep.Meta.Format)
 	}
 	if _, _, err := pollViaMeta(cons); err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -96,13 +97,19 @@ func (r *NotifyAblationResult) Format() string {
 // Ablation 2: incremental (delta) checkpointing payload vs threshold.
 // ---------------------------------------------------------------------
 
+// DeltaAblationChunkBytes is the chunk size the delta ablation encodes
+// at: small enough that the stand-in TC1 model spans many chunks, so
+// the delta's granularity shows.
+const DeltaAblationChunkBytes = 4 << 10
+
 // DeltaRow is one row of the delta ablation.
 type DeltaRow struct {
 	// Eps is the suppression threshold.
 	Eps float64
-	// PayloadRatio is delta bytes / full checkpoint bytes.
+	// PayloadRatio is manifest-delta bytes / full chunked blob bytes.
 	PayloadRatio float64
-	// Density is changed elements / total elements.
+	// Density is the fraction of chunks the delta carries (the rest
+	// re-encode byte-identically and reconcile from the receiver).
 	Density float64
 	// MaxWeightErr is the largest absolute weight deviation introduced
 	// by suppression.
@@ -121,8 +128,12 @@ type DeltaAblationResult struct {
 // RunDeltaAblation trains TC1 briefly, snapshots two checkpoints a fixed
 // interval apart, and measures the delta payload across suppression
 // thresholds — quantifying when Check-N-Run-style incremental transfer
-// pays off for dense DNN training.
-func RunDeltaAblation(intervalIters int, epsList []float64, seed int64) (*DeltaAblationResult, error) {
+// pays off for dense DNN training. Each eps runs the producer's delta
+// mechanism on a fresh clone of the base: the next snapshot is encoded
+// against the base's wire values (ChunkOptions.Base/BaseEps), the
+// manifest blob carries only the chunks the receiver lacks, and the
+// receiver reconciles it against a cache holding the base's chunks.
+func RunDeltaAblation(ctx context.Context, intervalIters int, epsList []float64, seed int64) (*DeltaAblationResult, error) {
 	if intervalIters <= 0 {
 		return nil, fmt.Errorf("experiments: interval %d must be positive", intervalIters)
 	}
@@ -155,42 +166,49 @@ func RunDeltaAblation(intervalIters int, epsList []float64, seed int64) (*DeltaA
 		}
 	}
 	next := nn.TakeSnapshot(net)
-	fullBytes, err := (&vformat.Checkpoint{ModelName: "tc1", Weights: next}).Encode()
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, nt := range base {
-		total += len(nt.Data)
-	}
 	res := &DeltaAblationResult{IntervalIters: intervalIters}
 	for _, eps := range epsList {
-		delta, err := vformat.ComputeDelta(base, next, eps)
+		opts := vformat.ChunkOptions{ChunkBytes: DeltaAblationChunkBytes, Base: base.Clone(), BaseEps: eps}
+		v1, err := vformat.EncodeChunked(ctx, &vformat.Checkpoint{ModelName: "tc1", Version: 1, Weights: base}, opts)
 		if err != nil {
 			return nil, err
 		}
-		enc, err := delta.Encode()
+		cache := vformat.NewChunkCache(0)
+		if err := cache.PutAll(v1); err != nil {
+			return nil, err
+		}
+		held := make(map[vformat.ChunkHash]bool)
+		for _, h := range cache.Hashes() {
+			held[h] = true
+		}
+		v2, err := vformat.EncodeChunked(ctx, &vformat.Checkpoint{ModelName: "tc1", Version: 2, Weights: next}, opts)
 		if err != nil {
 			return nil, err
 		}
-		applied, err := delta.Apply(base)
+		delta, hashes, carried, _, err := vformat.BuildManifestBlob(v2, func(h vformat.ChunkHash) bool { return held[h] })
+		if err != nil {
+			return nil, err
+		}
+		got, _, err := vformat.ReconcileBlob(ctx, delta, cache)
 		if err != nil {
 			return nil, err
 		}
 		maxErr := 0.0
 		for i := range next {
 			for j := range next[i].Data {
-				if d := abs(next[i].Data[j] - applied[i].Data[j]); d > maxErr {
+				if d := abs(next[i].Data[j] - got.Weights[i].Data[j]); d > maxErr {
 					maxErr = d
 				}
 			}
 		}
 		res.Rows = append(res.Rows, DeltaRow{
 			Eps:          eps,
-			PayloadRatio: float64(len(enc)) / float64(len(fullBytes)),
-			Density:      delta.Density(total),
+			PayloadRatio: float64(len(delta)) / float64(len(v2)),
+			Density:      float64(carried) / float64(len(hashes)),
 			MaxWeightErr: maxErr,
 		})
+		vformat.ReleaseBuffer(v1)
+		vformat.ReleaseBuffer(v2)
 	}
 	return res, nil
 }
@@ -213,8 +231,9 @@ func (r *DeltaAblationResult) Format() string {
 			fmt.Sprintf("%.2e", row.MaxWeightErr),
 		})
 	}
-	return fmt.Sprintf("Ablation: delta checkpoint payload vs threshold (interval ≈ %d iters)\n", r.IntervalIters) +
-		Table([]string{"eps", "payload_ratio", "density", "max_weight_err"}, rows)
+	return fmt.Sprintf("Ablation: delta checkpoint payload vs threshold (interval ≈ %d iters, %d KiB chunks)\n",
+		r.IntervalIters, DeltaAblationChunkBytes>>10) +
+		Table([]string{"eps", "payload_ratio", "chunk_density", "max_weight_err"}, rows)
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -44,7 +45,7 @@ func TestNotifyAblationPushBeatsPolling(t *testing.T) {
 }
 
 func TestDeltaAblationThresholdShrinksPayload(t *testing.T) {
-	res, err := RunDeltaAblation(20, []float64{0, 1e-4, 1e-2}, 3)
+	res, err := RunDeltaAblation(context.Background(), 20, []float64{0, 1e-4, 1e-2}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestDeltaAblationThresholdShrinksPayload(t *testing.T) {
 	if coarse.MaxWeightErr == 0 || coarse.MaxWeightErr > 1e-2 {
 		t.Fatalf("eps=1e-2 weight error = %v, want (0, 1e-2]", coarse.MaxWeightErr)
 	}
-	if _, err := RunDeltaAblation(0, nil, 1); err == nil {
+	if _, err := RunDeltaAblation(context.Background(), 0, nil, 1); err == nil {
 		t.Fatal("zero interval must error")
 	}
 }

@@ -192,3 +192,59 @@ func TestClientCloseIsSticky(t *testing.T) {
 		t.Fatalf("Ping after close = %v, want ErrClientClosed", err)
 	}
 }
+
+// closeRaceListener hands out one connection, but only after Close has
+// closed the listener — the interleaving where Accept returns a
+// connection Close's sweep of s.conns can no longer see.
+type closeRaceListener struct {
+	closed chan struct{}
+	once   sync.Once
+	peer   net.Conn
+	served bool
+}
+
+func (l *closeRaceListener) Accept() (net.Conn, error) {
+	<-l.closed
+	if l.served {
+		return nil, net.ErrClosed
+	}
+	l.served = true
+	server, client := net.Pipe()
+	l.peer = client
+	return server, nil
+}
+
+func (l *closeRaceListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *closeRaceListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// TestCloseDuringAcceptDoesNotHang: a connection accepted while Close is
+// already running must be closed by the server, not served — before the
+// fix its serveConn blocked Close's wait until the peer hung up.
+func TestCloseDuringAcceptDoesNotHang(t *testing.T) {
+	srv := NewServer(NewStore())
+	ln := &closeRaceListener{closed: make(chan struct{})}
+	srv.mu.Lock()
+	srv.listener = ln
+	srv.mu.Unlock()
+	srv.wg.Add(1)
+	go srv.acceptLoop(ln)
+	done := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		ln.peer.Close() // unblock the leaked serveConn before failing
+		<-done
+		t.Fatal("Close hung on a connection accepted during shutdown")
+	}
+	if ln.peer != nil {
+		ln.peer.Close()
+	}
+}

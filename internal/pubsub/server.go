@@ -54,9 +54,18 @@ func (s *Server) Listen(addr string) (string, error) {
 				return
 			}
 			s.mu.Lock()
+			select {
+			case <-s.done:
+				// Close already swept s.conns and would wait on this
+				// connection's serveConn until the peer hung up.
+				s.mu.Unlock()
+				conn.Close()
+				return
+			default:
+			}
 			s.conns[conn] = struct{}{}
-			s.mu.Unlock()
 			s.wg.Add(1)
+			s.mu.Unlock()
 			go s.serveConn(conn)
 		}
 	}()

@@ -321,8 +321,7 @@ type chunkEntry struct {
 	refs    int
 }
 
-// version is one cached (model, version). A monolithic version keeps
-// its single frame verbatim; a chunked version keeps only its header
+// version is one cached (model, version). It keeps only its header
 // frame plus the ordered content hashes of its records — the bytes live
 // in the relay's refcounted chunk store, shared with every other
 // version holding the same content (held carries one reference per
@@ -531,12 +530,12 @@ func (r *Relay) closeClients() {
 }
 
 // hydrateFromStore rebuilds the in-memory catalog from the attached
-// store's recovered inventory. Chunked versions come back as
-// header-resident shells — the records stay on disk and are read
-// through on demand — and monolithic versions reload their payload
-// lazily at first serve. Hydration never announces: the KV/notify
-// state either already reflects these versions or the producer's next
-// push refreshes it.
+// store's recovered inventory. Versions come back as header-resident
+// shells — the records stay on disk and are read through on demand.
+// Monolithic versions an older store may hold are not chunked v2
+// streams, so they are skipped. Hydration never announces: the
+// KV/notify state either already reflects these versions or the
+// producer's next push refreshes it.
 func (r *Relay) hydrateFromStore() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -552,6 +551,9 @@ func (r *Relay) hydrateFromStore() {
 				r.stats.StoreErrors++
 				continue
 			}
+			if m.Monolithic {
+				continue
+			}
 			mc.versions = append(mc.versions, r.versionFromStoreLocked(m))
 			r.stats.HydratedVersions++
 		}
@@ -560,32 +562,28 @@ func (r *Relay) hydrateFromStore() {
 }
 
 // versionFromStoreLocked builds the catalog shell for a store-backed
-// version: the header frame (and manifest) resident for a chunked
-// version, nothing resident for a monolithic one. Callers hold r.mu.
+// version: the header frame and manifest resident, the records on
+// disk. Callers hold r.mu.
 func (r *Relay) versionFromStoreLocked(m chunkstore.VersionMeta) *version {
+	head := transport.Frame{Key: m.Key, Payload: m.Header, Meta: map[string]string{
+		"model":                  m.Model,
+		"version":                strconv.FormatUint(m.Version, 10),
+		transport.MetaChunkRole:  transport.ChunkRoleHeader,
+		transport.MetaChunkCount: strconv.Itoa(len(m.Hashes)),
+	}}
 	v := &version{
 		model: m.Model, vnum: m.Version, key: m.Key,
 		bytes: m.Bytes, stored: true, crcOK: true,
+		frames:   []transport.Frame{head},
+		hashes:   m.Hashes,
+		chunks:   len(m.Hashes),
+		resident: int64(len(m.Header)),
+		manifest: vformat.EncodeManifest(m.Header, m.Hashes),
 	}
-	format := "vformat"
-	if !m.Monolithic {
-		head := transport.Frame{Key: m.Key, Payload: m.Header, Meta: map[string]string{
-			"model":                  m.Model,
-			"version":                strconv.FormatUint(m.Version, 10),
-			transport.MetaChunkRole:  transport.ChunkRoleHeader,
-			transport.MetaChunkCount: strconv.Itoa(len(m.Hashes)),
-		}}
-		v.frames = []transport.Frame{head}
-		v.hashes = m.Hashes
-		v.chunks = len(m.Hashes)
-		v.resident = int64(len(m.Header))
-		v.manifest = vformat.EncodeManifest(m.Header, m.Hashes)
-		r.cacheBytes += v.resident
-		format = "vchunk"
-	}
+	r.cacheBytes += v.resident
 	v.meta = &core.ModelMeta{
 		Name: m.Model, Version: m.Version, Path: m.Key,
-		Size: m.Bytes, Format: format, SavedAt: m.SavedAt,
+		Size: m.Bytes, Format: "vchunk", SavedAt: m.SavedAt,
 		Location: core.RouteRelay, Relay: r.ServeAddr(),
 	}
 	return v
@@ -595,9 +593,10 @@ func (r *Relay) versionFromStoreLocked(m chunkstore.VersionMeta) *version {
 // attached store: every chunk record first, then the commit record
 // that makes the version durable (the store's fsync barriers order the
 // two). Persistence failure degrades to memory-only caching — the
-// version still serves, it just will not survive a restart.
+// version still serves, it just will not survive a restart. A
+// zero-chunk version has nothing to persist and stays memory-only.
 func (r *Relay) persistVersion(v *version) {
-	if r.store == nil {
+	if r.store == nil || len(v.hashes) == 0 {
 		return
 	}
 	// One producer connection persists at a time: the store's
@@ -606,18 +605,13 @@ func (r *Relay) persistVersion(v *version) {
 	r.storeMu.Lock()
 	defer r.storeMu.Unlock()
 	var err error
-	if len(v.hashes) > 0 {
-		for _, e := range v.held {
-			if _, aerr := r.store.AppendChunk(e.payload); aerr != nil {
-				err = aerr
-				break
-			}
+	for _, e := range v.held {
+		if _, err = r.store.AppendChunk(e.payload); err != nil {
+			break
 		}
-		if err == nil {
-			err = r.store.Commit(v.model, v.vnum, v.key, v.frames[0].Payload, v.hashes)
-		}
-	} else {
-		err = r.store.PutMonolithic(v.model, v.vnum, v.key, v.frames[0].Payload)
+	}
+	if err == nil {
+		err = r.store.Commit(v.model, v.vnum, v.key, v.frames[0].Payload, v.hashes)
 	}
 	if err != nil {
 		r.bump(func(s *Stats) { s.StoreErrors++ })
@@ -628,17 +622,12 @@ func (r *Relay) persistVersion(v *version) {
 }
 
 // demoteLocked strips a store-backed version down to its serve shell:
-// a chunked version keeps only its header frame and manifest (records
-// read through from disk at fan-out), a monolithic version drops its
-// payload entirely and reloads at first serve. A pinned version is
-// skipped — an active fan-out is borrowing the payloads — and retried
-// at the next commit. Callers hold r.mu.
+// its header frame and manifest, with the records read through from
+// disk at fan-out. A pinned version is skipped — an active fan-out is
+// borrowing the payloads — and retried at the next commit. Callers
+// hold r.mu.
 func (r *Relay) demoteLocked(v *version) {
-	if !v.stored || v.released {
-		return
-	}
-	resident := len(v.held) > 0 || (len(v.hashes) == 0 && v.frames != nil)
-	if !resident {
+	if !v.stored || v.released || len(v.held) == 0 {
 		return
 	}
 	if v.pins > 0 {
@@ -649,11 +638,6 @@ func (r *Relay) demoteLocked(v *version) {
 		r.releaseChunk(e)
 	}
 	v.held = nil
-	if len(v.hashes) == 0 {
-		v.frames = nil
-		r.cacheBytes -= v.resident
-		v.resident = 0
-	}
 	r.stats.DemotedVersions++
 }
 
@@ -1006,19 +990,9 @@ func (r *Relay) handleFrame(link *transport.TCPLink, f transport.Frame, pending 
 		}
 		r.addRecord(link, f, b, pending)
 	default:
-		// A monolithic (non-chunked) frame is a complete single-frame
-		// version; the frame-level CRC already vouched for it.
-		if !r.admitVersion(model) {
-			link.Send(rejectFrame(rejectReasonRate, model, f.Meta["version"]))
-			return
-		}
-		v := &version{
-			model: model, vnum: vnum, key: f.Key,
-			frames: []transport.Frame{f},
-			bytes:  int64(len(f.Payload)), resident: int64(len(f.Payload)),
-			crcOK: true,
-		}
-		r.commit(link, v)
+		// Only chunked v2 streams are versions; anything else (e.g. a
+		// retired monolithic frame) is never cached or served.
+		r.bump(func(s *Stats) { s.StrayFrames++ })
 	}
 }
 
@@ -1184,17 +1158,15 @@ func recordIndex(rec []byte) int {
 // version is the model's newest — records relay-served metadata and
 // republishes the update channel.
 func (r *Relay) commit(link *transport.TCPLink, v *version) {
-	if len(v.hashes) > 0 || v.chunks > 0 {
-		// A chunked version's logical size is the header plus every
-		// record; only the header (plus the derived manifest) is charged
-		// to the cache beyond the shared chunk store.
-		v.bytes = int64(len(v.frames[0].Payload))
-		for _, e := range v.held {
-			v.bytes += int64(len(e.payload))
-		}
-		v.resident = int64(len(v.frames[0].Payload))
-		v.manifest = vformat.EncodeManifest(v.frames[0].Payload, v.hashes)
+	// A version's logical size is the header plus every record; only the
+	// header (plus the derived manifest) is charged to the cache beyond
+	// the shared chunk store.
+	v.bytes = int64(len(v.frames[0].Payload))
+	for _, e := range v.held {
+		v.bytes += int64(len(e.payload))
 	}
+	v.resident = int64(len(v.frames[0].Payload))
+	v.manifest = vformat.EncodeManifest(v.frames[0].Payload, v.hashes)
 	v.meta = r.metaFor(v)
 	// Persist before the catalog insert: once consumers can discover the
 	// version its durability status is already settled, and the store's
@@ -1289,13 +1261,9 @@ func (r *Relay) metaFor(v *version) *core.ModelMeta {
 		}
 	}
 	if meta == nil {
-		format := "vformat"
-		if v.chunks > 0 || transport.IsChunkHeader(v.frames[0]) {
-			format = "vchunk"
-		}
 		meta = &core.ModelMeta{
 			Name: v.model, Version: v.vnum, Path: v.key,
-			Size: v.bytes, Format: format, SavedAt: r.clock.Now(),
+			Size: v.bytes, Format: "vchunk", SavedAt: r.clock.Now(),
 		}
 	}
 	meta.Location = core.RouteRelay
@@ -1619,8 +1587,7 @@ func (s *session) send(v *version) bool {
 }
 
 // framesFor builds the frame sequence that serves v to this consumer:
-// the verbatim frame for a monolithic version; a rebuilt header plus
-// every record for a chunked version; or — when the consumer advertised
+// the header plus every record; or — when the consumer advertised
 // a have-set overlapping v — a manifest frame plus only the records the
 // consumer lacks. The snapshot happens under the relay lock; the caller
 // holds a pin, so the referenced store payloads cannot be freed or
@@ -1631,28 +1598,6 @@ func (s *session) framesFor(v *version) ([]transport.Frame, bool) {
 	have := s.have
 	s.mu.Unlock()
 	s.r.mu.Lock()
-	if len(v.hashes) == 0 {
-		frames := v.frames
-		stored := v.stored
-		s.r.mu.Unlock()
-		if frames != nil {
-			return frames, false
-		}
-		if !stored || s.r.store == nil {
-			return nil, false
-		}
-		// Demoted or hydrated monolithic shell: reload the payload from
-		// the store for this borrow.
-		blob, err := s.r.store.LoadVersion(v.model, v.vnum)
-		if err != nil {
-			s.r.bump(func(st *Stats) { st.StoreErrors++ })
-			return nil, false
-		}
-		return []transport.Frame{{Key: v.key, Payload: blob, Meta: map[string]string{
-			"model":   v.model,
-			"version": strconv.FormatUint(v.vnum, 10),
-		}}}, false
-	}
 	head := v.frames[0]
 	stored := v.stored
 	var missing [][]byte
@@ -1721,20 +1666,20 @@ type VersionInfo struct {
 	Version uint64 `json:"version"`
 	// Key is the frame key the version travels under.
 	Key string `json:"key"`
-	// Chunks is the chunk-frame count (0 for a monolithic version).
+	// Chunks is the chunk-frame count.
 	Chunks int `json:"chunks"`
 	// Bytes is the logical payload size across all frames (what a full
 	// fan-out of this version ships).
 	Bytes int64 `json:"bytes"`
 	// Deduped is how many of the version's chunks were already resident
 	// in the content-addressed store when it arrived (cross-version
-	// dedup; 0 for a monolithic version).
+	// dedup).
 	Deduped int `json:"deduped"`
 	// Delta reports whether the version was ingested as a
 	// manifest+missing delta stream rather than a full push.
 	Delta bool `json:"delta"`
 	// Hashes lists the version's per-chunk content hashes (hex, chunk
-	// order; empty for a monolithic version).
+	// order).
 	Hashes []string `json:"hashes,omitempty"`
 	// CRCOK reports whether every chunk record passed CRC verification
 	// at ingest.

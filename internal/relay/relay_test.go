@@ -155,9 +155,11 @@ func TestIngestCacheAndInventory(t *testing.T) {
 	}
 }
 
-// TestMonolithicFrameCached: a plain (non-chunked) frame with
-// model/version tags is cached as a complete single-frame version.
-func TestMonolithicFrameCached(t *testing.T) {
+// TestMonolithicFrameIsStray: the relay caches only chunked v2
+// streams. A plain single-frame checkpoint in the retired v1 encoding,
+// tagged like a version, is counted as a stray frame and never cached
+// or served; the chunked version pushed after it is.
+func TestMonolithicFrameIsStray(t *testing.T) {
 	r := testRelay(t, 4)
 	link, err := transport.DialTCP(r.IngestAddr())
 	if err != nil {
@@ -177,13 +179,29 @@ func TestMonolithicFrameCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pushChunked(t, link, "m", 2, nn.TakeSnapshot(testModel(3)), 1024)
 	waitFor(t, 5*time.Second, func() bool { return r.Stats().CachedVersions == 1 }, "cached version")
+	if st := r.Stats(); st.StrayFrames != 1 {
+		t.Fatalf("stray frames = %d, want 1 for the monolithic frame", st.StrayFrames)
+	}
 	inv, err := FetchInventory(r.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(inv) != 1 || inv[0].Chunks != 0 || inv[0].Bytes != int64(len(payload)) {
-		t.Fatalf("inventory: %+v", inv)
+	if len(inv) != 1 || inv[0].Version != 2 {
+		t.Fatalf("inventory: %+v, want only the chunked v2", inv)
+	}
+	cons, err := transport.DialTCP(r.ServeAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cons.Close()
+	f, err := cons.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Key != "m/v00000002" || !transport.IsChunkHeader(f) {
+		t.Fatalf("first served frame %q (chunk header %v), want the v2 header", f.Key, transport.IsChunkHeader(f))
 	}
 }
 

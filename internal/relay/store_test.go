@@ -320,34 +320,44 @@ func TestDeltaAfterRestartPrefillsFromStore(t *testing.T) {
 	}
 }
 
-// TestMonolithicRestartReload: a monolithic version survives a relay
-// restart as a payload-free shell and reloads from the store at first
-// serve, byte-identically.
-func TestMonolithicRestartReload(t *testing.T) {
+// TestMonolithicSkippedAtHydrate: a store written by an older build
+// may hold a monolithic version. The relay serves only chunked v2
+// streams, so hydration skips it; the store's chunked versions come
+// back and serve as usual.
+func TestMonolithicSkippedAtHydrate(t *testing.T) {
 	dir := t.TempDir()
-	r1 := storeRelay(t, dir, 4, chunkstore.Retention{})
-	link, err := transport.DialTCP(r1.IngestAddr())
+	st, err := chunkstore.Open(dir, chunkstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt := &vformat.Checkpoint{ModelName: "m", Version: 1, Weights: nn.TakeSnapshot(testModel(51))}
-	payload, err := ckpt.Encode()
+	old := &vformat.Checkpoint{ModelName: "m", Version: 1, Weights: nn.TakeSnapshot(testModel(51))}
+	payload, err := old.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = link.Send(transport.Frame{
-		Key: "m/v00000001", Payload: payload,
-		Meta: map[string]string{"model": "m", "version": "1"},
-	})
-	if err != nil {
+	if err := st.PutMonolithic("m", 1, "m/v00000001", payload); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, func() bool { return r1.Stats().StoredVersions == 1 }, "monolithic stored")
-	link.Close()
-	r1.Close()
+	blob, _ := encodeVersion(t, "m", 2, nn.TakeSnapshot(testModel(52)), 1024)
+	if err := st.PutBlob("m", 2, "m/v00000002", blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	r2 := storeRelay(t, dir, 4, chunkstore.Retention{})
-	cons, err := transport.DialTCP(r2.ServeAddr())
+	r := storeRelay(t, dir, 4, chunkstore.Retention{})
+	if st := r.Stats(); st.HydratedVersions != 1 {
+		t.Fatalf("hydrated %d versions, want only the chunked one: %+v", st.HydratedVersions, st)
+	}
+	inv, err := FetchInventory(r.IngestAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(inv) != 1 || inv[0].Version != 2 {
+		t.Fatalf("inventory: %+v, want only v2", inv)
+	}
+	cons, err := transport.DialTCP(r.ServeAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,11 +366,8 @@ func TestMonolithicRestartReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Key != "m/v00000001" || !bytes.Equal(f.Payload, payload) {
-		t.Fatalf("reloaded monolithic frame key=%q bytes equal=%v, want the original payload", f.Key, bytes.Equal(f.Payload, payload))
-	}
-	if st := r2.Stats(); st.HydratedVersions != 1 {
-		t.Fatalf("stats after monolithic restart: %+v", st)
+	if f.Key != "m/v00000002" || !bytes.Equal(f.Payload, blob[:len(f.Payload)]) {
+		t.Fatalf("first served frame %q, want the v2 header", f.Key)
 	}
 }
 

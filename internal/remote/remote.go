@@ -82,22 +82,20 @@ type ProducerConfig struct {
 	// LinkWrap, if set, decorates each accepted link connection (fault
 	// injection hooks in here).
 	LinkWrap func(net.Conn) net.Conn
-	// ChunkSize, when positive, publishes checkpoints through the chunked
-	// pipeline: the payload travels the direct link as a header frame plus
-	// one frame per chunk (chunk N on the wire while N+1 is still being
-	// encoded), the staging copy holds the chunked blob, and metadata
-	// reports the "vchunk" format. Zero keeps the legacy monolithic
-	// "vformat" frames.
+	// ChunkSize is the chunk payload size in bytes (0 =
+	// vformat.DefaultChunkBytes). Each checkpoint travels the direct
+	// link as a header frame plus one frame per chunk (chunk N on the
+	// wire while N+1 is still being encoded), the staging copy holds the
+	// chunked blob, and metadata reports the "vchunk" format.
 	ChunkSize int
 	// Parallelism bounds the chunk-encode worker pool (0 = GOMAXPROCS).
-	// Only meaningful with ChunkSize set.
 	Parallelism int
 	// DisableDeltaReconcile turns off chunk-level delta publishing. By
-	// default (with ChunkSize set) the producer reads have-lists the
-	// receiver sends back, ships subsequent versions as manifest+missing
-	// delta streams, and answers need-lists for chunks the receiver
-	// advertised but lost. Disabling restores the always-full chunked
-	// streams (and the producer never reads its link).
+	// default the producer reads have-lists the receiver sends back,
+	// ships subsequent versions as manifest+missing delta streams, and
+	// answers need-lists for chunks the receiver advertised but lost.
+	// Disabling restores the always-full chunked streams (and the
+	// producer never reads its link).
 	DisableDeltaReconcile bool
 	// DeltaEps, when positive (and delta publishing is on), enables
 	// base-suppressed encoding: an element that moved less than
@@ -340,7 +338,7 @@ func NewProducer(cfg ProducerConfig) (*Producer, error) {
 		model: cfg.Model, kv: kv, ps: ps, ln: ln, link: link, store: store,
 		policy: pol, clock: policyClock(pol), stage: !cfg.DisableStaging,
 		relay: cfg.RelayAddr != "", chunkSize: cfg.ChunkSize, workers: cfg.Parallelism,
-		recon:    cfg.ChunkSize > 0 && !cfg.DisableDeltaReconcile,
+		recon:    !cfg.DisableDeltaReconcile,
 		deltaEps: cfg.DeltaEps,
 		closed:   make(chan struct{}),
 		lifeCtx:  lifeCtx, lifeCancel: lifeCancel,
@@ -428,21 +426,6 @@ func (p *Producer) answerNeed(f transport.Frame) {
 	})
 }
 
-// sameShape reports whether two snapshots share tensor names and sizes
-// — the prerequisite for base-suppressed encoding (a restart or
-// reshape falls back to a clean full encode).
-func sameShape(a, b nn.Snapshot) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Name != b[i].Name || len(a[i].Data) != len(b[i].Data) {
-			return false
-		}
-	}
-	return true
-}
-
 // rememberBlob retains a copy of the newest published chunked blob (and
 // its frame tags) for answering need-lists; blob aliases the encoder's
 // pooled buffer, so the copy must not.
@@ -484,23 +467,14 @@ func (p *Producer) PublishContext(ctx context.Context, snapshot nn.Snapshot, ite
 	}
 	key := core.CheckpointKey(p.model, version)
 	tags := map[string]string{"model": p.model, "version": strconv.FormatUint(version, 10)}
-	if p.chunkSize > 0 {
-		return p.publishChunked(ctx, ckpt, key, tags)
-	}
-	payload, err := ckpt.Encode()
-	if err != nil {
-		return nil, err
-	}
-	p.attachRelayMeta(tags, ckpt, key, int64(len(payload)), "vformat")
-	sendErr := p.link.Send(transport.Frame{Key: key, Payload: payload, Meta: tags})
-	return p.finishPublish(ctx, ckpt, key, payload, "vformat", sendErr)
+	return p.publishChunked(ctx, ckpt, key, tags)
 }
 
 // attachRelayMeta adds the encoded checkpoint metadata to a relay-mode
 // stream's frame tags (core.RelayMetaTag), so the relay can record and
 // republish full metadata — iteration, loss, size — without decoding
 // payloads. The relay stamps its own serve address in before writing.
-func (p *Producer) attachRelayMeta(tags map[string]string, ckpt *vformat.Checkpoint, key string, size int64, format string) {
+func (p *Producer) attachRelayMeta(tags map[string]string, ckpt *vformat.Checkpoint, key string, size int64) {
 	if !p.relay {
 		return
 	}
@@ -512,7 +486,7 @@ func (p *Producer) attachRelayMeta(tags map[string]string, ckpt *vformat.Checkpo
 		Location:  core.RouteRelay,
 		Path:      key,
 		Size:      size,
-		Format:    format,
+		Format:    "vchunk",
 		SavedAt:   p.clock.Now(),
 	}
 	if encoded, err := meta.Encode(); err == nil {
@@ -540,7 +514,7 @@ func (p *Producer) publishChunked(ctx context.Context, ckpt *vformat.Checkpoint,
 		p.mu.Lock()
 		base := p.lastSnap
 		p.mu.Unlock()
-		if base != nil && sameShape(base, ckpt.Weights) {
+		if base != nil && vformat.SameShape(base, ckpt.Weights) {
 			opts.Base, opts.BaseEps = base, p.deltaEps
 		} else {
 			base = ckpt.Weights.Clone()
@@ -559,7 +533,7 @@ func (p *Producer) publishChunked(ctx context.Context, ckpt *vformat.Checkpoint,
 		// chunk store back for the next version's planning.
 		tags[transport.MetaReconcile] = "1"
 	}
-	p.attachRelayMeta(tags, ckpt, key, int64(enc.EncodedSize()), "vchunk")
+	p.attachRelayMeta(tags, ckpt, key, int64(enc.EncodedSize()))
 	p.mu.Lock()
 	have := p.peerHave
 	p.mu.Unlock()
@@ -584,7 +558,7 @@ func (p *Producer) publishChunked(ctx context.Context, ckpt *vformat.Checkpoint,
 	if p.recon {
 		p.rememberBlob(key, tags, blob)
 	}
-	return p.finishPublish(ctx, ckpt, key, blob, "vchunk", sendErr)
+	return p.finishPublish(ctx, ckpt, key, blob, sendErr)
 }
 
 // publishDelta ships ckpt as a manifest plus only the chunk records the
@@ -615,13 +589,13 @@ func (p *Producer) publishDelta(ctx context.Context, enc *vformat.ChunkEncoder, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return p.finishPublish(ctx, ckpt, key, blob, "vchunk", sendErr)
+	return p.finishPublish(ctx, ckpt, key, blob, sendErr)
 }
 
 // finishPublish completes a publish after the link attempt: delivery
 // stats, the KV staging copy (mandatory when the link failed), then
 // metadata and the push notification.
-func (p *Producer) finishPublish(ctx context.Context, ckpt *vformat.Checkpoint, key string, payload []byte, format string, sendErr error) (*core.ModelMeta, error) {
+func (p *Producer) finishPublish(ctx context.Context, ckpt *vformat.Checkpoint, key string, payload []byte, sendErr error) (*core.ModelMeta, error) {
 	version := ckpt.Version
 	p.mu.Lock()
 	if sendErr != nil {
@@ -690,7 +664,7 @@ func (p *Producer) finishPublish(ctx context.Context, ckpt *vformat.Checkpoint, 
 		Location:  location,
 		Path:      key,
 		Size:      int64(len(payload)),
-		Format:    format,
+		Format:    "vchunk",
 		SavedAt:   p.clock.Now(),
 	}
 	encoded, err := meta.Encode()
@@ -965,7 +939,7 @@ func (c *Consumer) pump() {
 			// re-accept waits on the consumer to redial — a pump parked
 			// on a full channel deadlocks both sides (seen with chunked
 			// streams, whose many frames per version overflow the buffer
-			// far sooner than monolithic ones). Frames are superseding
+			// quickly). Frames are superseding
 			// model updates, so shed the oldest buffered frame; a torn
 			// chunk stream or lost version backfills from KV staging.
 			select {
@@ -1143,19 +1117,20 @@ func (c *Consumer) fetch(ctx context.Context, meta *core.ModelMeta) (*vformat.Ch
 }
 
 // resolveFrame turns a link frame addressed to meta into a checkpoint:
-// a chunk-stream header pulls the remaining chunk frames from the pump
-// and assembles them as they arrive, a monolithic frame decodes
-// directly. A nil checkpoint means the frame (or its stream) was
-// unusable and the caller should backfill from staging; a non-nil
-// foreign frame interrupted the chunk stream and still needs handling.
+// a chunk-stream or manifest header pulls the remaining chunk frames
+// from the pump and assembles them as they arrive. A nil checkpoint
+// means the frame (or its stream) was unusable — any other frame is —
+// and the caller should backfill from staging; a non-nil foreign frame
+// interrupted the chunk stream and still needs handling.
 func (c *Consumer) resolveFrame(ctx context.Context, f *transport.Frame, meta *core.ModelMeta) (*vformat.Checkpoint, *transport.Frame) {
-	if transport.IsManifestHeader(*f) {
+	switch {
+	case transport.IsManifestHeader(*f):
 		return c.collectDeltaStream(ctx, f, meta)
-	}
-	if transport.IsChunkHeader(*f) {
+	case transport.IsChunkHeader(*f):
 		return c.collectChunkStream(ctx, f, meta)
+	default:
+		return nil, nil
 	}
-	return c.decodeFrame(f, meta), nil
 }
 
 // streamRecv builds the collect loops' receive function: frames come
@@ -1222,23 +1197,10 @@ func (c *Consumer) collectDeltaStream(ctx context.Context, header *transport.Fra
 	return ckpt, nil
 }
 
-// decodeFrame validates and decodes a monolithic link frame against its
-// metadata, returning nil on any mismatch (the caller falls back to
-// staging).
-func (c *Consumer) decodeFrame(f *transport.Frame, meta *core.ModelMeta) *vformat.Checkpoint {
-	ckpt, err := vformat.Decode(f.Payload)
-	if err != nil {
-		return nil
-	}
-	if ckpt.ModelName != c.model || ckpt.Version != meta.Version {
-		return nil
-	}
-	return ckpt
-}
-
 // fetchStaged backfills a checkpoint from the KV staging area. The
-// staged payload is whatever the producer shipped — monolithic vformat
-// or a chunked v2 blob — so decoding dispatches on the magic.
+// staged payload is the producer's complete chunked v2 blob (or, from a
+// relay, its full manifest-bearing form), so decoding dispatches on the
+// magic.
 func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vformat.Checkpoint, error) {
 	raw, err := c.kv.Get(core.StagingKey(c.model, meta.Version))
 	if errors.Is(err, kvstore.ErrNotFound) {
@@ -1256,8 +1218,9 @@ func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vfor
 			ckpt.ModelName, ckpt.Version, c.model, meta.Version)
 	}
 	if c.cache != nil {
-		// A chunked staging blob replenishes the reconciliation cache
-		// (monolithic blobs carry no records; the error is expected).
+		// The staged blob replenishes the reconciliation cache (a
+		// manifest-bearing blob is not a plain chunked one; the error is
+		// expected).
 		_ = c.cache.PutAll([]byte(raw))
 	}
 	c.bump(func(s *ConsumerStats) { s.StagedLoads++ })

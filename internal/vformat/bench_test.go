@@ -1,6 +1,7 @@
 package vformat
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -74,36 +75,56 @@ func BenchmarkH5Encode(b *testing.B) {
 	}
 }
 
-func BenchmarkComputeDelta(b *testing.B) {
+func BenchmarkBuildManifestBlob(b *testing.B) {
 	ckpt := benchCheckpoint(b)
-	base := ckpt.Weights
-	next := base.Clone()
+	ctx := context.Background()
+	opts := ChunkOptions{ChunkBytes: 16 << 10}
+	v1, err := EncodeChunked(ctx, ckpt, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	held := map[ChunkHash]bool{}
+	hashes, err := ChunkHashesOf(v1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, h := range hashes {
+		held[h] = true
+	}
+	next := ckpt.Weights.Clone()
 	rng := rand.New(rand.NewSource(2))
 	for i := range next {
 		for j := range next[i].Data {
-			if rng.Float64() < 0.05 {
+			if rng.Float64() < 0.0005 {
 				next[i].Data[j] += 0.1
 			}
 		}
 	}
-	b.SetBytes(base.NumBytes())
+	v2, err := EncodeChunked(ctx, &Checkpoint{ModelName: "bench", Version: 2, Weights: next}, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(v2)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ComputeDelta(base, next, 0); err != nil {
+		if _, _, _, _, err := BuildManifestBlob(v2, func(h ChunkHash) bool { return held[h] }); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkEncodeQuantizedF16(b *testing.B) {
+func BenchmarkEncodeChunkedF16(b *testing.B) {
 	ckpt := benchCheckpoint(b)
+	ctx := context.Background()
 	b.SetBytes(ckpt.Weights.NumBytes())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeQuantized(ckpt, PrecFloat16); err != nil {
+		blob, err := EncodeChunked(ctx, ckpt, ChunkOptions{Precision: PrecFloat16})
+		if err != nil {
 			b.Fatal(err)
 		}
+		ReleaseBuffer(blob)
 	}
 }

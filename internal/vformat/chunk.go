@@ -84,6 +84,22 @@ type ChunkOptions struct {
 	BaseEps float64
 }
 
+// SameShape reports whether two snapshots share tensor names and
+// element counts — the precondition ChunkOptions.Base needs. Callers
+// that keep a base across versions use it to detect a restart or
+// reshape and fall back to a clean full encode.
+func SameShape(a, b nn.Snapshot) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Name != b[i].Name || len(a[i].Data) != len(b[i].Data) {
+			return false
+		}
+	}
+	return true
+}
+
 // normalized returns opts with defaults applied, validating Precision.
 func (o ChunkOptions) normalized() (ChunkOptions, error) {
 	switch o.Precision {
@@ -544,7 +560,7 @@ func NewChunkEncoder(ckpt *Checkpoint, opts ChunkOptions) (*ChunkEncoder, error)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Base != nil && !baseMatches(ckpt.Weights, opts.Base) {
+	if opts.Base != nil && !SameShape(ckpt.Weights, opts.Base) {
 		opts.Base = nil // restart or reshape: fall back to a clean full encode
 	}
 	layout := planLayout(ckpt.Weights, opts)
@@ -562,20 +578,6 @@ func NewChunkEncoder(ckpt *Checkpoint, opts ChunkOptions) (*ChunkEncoder, error)
 		header: blob[:len(header)], blob: blob, offs: offs,
 		hashes: make([]ChunkHash, layout.NumChunks),
 	}, nil
-}
-
-// baseMatches reports whether base has the same tensor structure as
-// weights (a prerequisite for per-element suppression).
-func baseMatches(weights, base nn.Snapshot) bool {
-	if len(base) != len(weights) {
-		return false
-	}
-	for i := range weights {
-		if base[i].Name != weights[i].Name || len(base[i].Data) != len(weights[i].Data) {
-			return false
-		}
-	}
-	return true
 }
 
 // Layout returns the planned chunk layout.
@@ -919,14 +921,14 @@ func IsChunked(blob []byte) bool {
 	return len(blob) >= len(chunkMagic) && string(blob[:len(chunkMagic)]) == chunkMagic
 }
 
-// DecodeAuto decodes a self-contained checkpoint blob in any full-model
-// wire format — lean v1 (VPRF), quantized (VPRQ), chunked v2 (VPRC), or
-// a manifest-bearing blob (VPRM) that carries its full record set —
-// dispatching on the magic. Delta blobs are not self-contained and are
-// rejected; a manifest-bearing blob missing records (a wire delta that
-// needs a chunk cache) fails with ErrMissingChunk rather than decoding
-// a torn checkpoint. The VPRM case is what keeps KV-staged recovery
-// working when delta distribution is on: producers stage the full
+// DecodeAuto decodes a self-contained checkpoint blob in either Viper
+// wire form — a chunked v2 blob (VPRC) or a manifest-bearing blob
+// (VPRM) that carries its full record set — dispatching on the magic.
+// Any other magic, including the retired v1 encodings, is rejected; a
+// manifest-bearing blob missing records (a wire delta that needs a
+// chunk cache) fails with ErrMissingChunk rather than decoding a torn
+// checkpoint. The VPRM case is what keeps KV-staged recovery working
+// when delta distribution is on: producers stage the full
 // manifest-bearing blob and a consumer backfilling after a relay death
 // full-decodes it here with no cache at all.
 func DecodeAuto(ctx context.Context, blob []byte, parallelism int) (*Checkpoint, error) {
@@ -934,11 +936,6 @@ func DecodeAuto(ctx context.Context, blob []byte, parallelism int) (*Checkpoint,
 		return nil, fmt.Errorf("vformat: blob too short (%d bytes)", len(blob))
 	}
 	switch string(blob[:8]) {
-	case magic:
-		return Decode(blob)
-	case quantMagic:
-		ckpt, _, err := DecodeQuantized(blob)
-		return ckpt, err
 	case chunkMagic:
 		return DecodeChunked(ctx, blob, parallelism)
 	case manifestMagic:

@@ -118,53 +118,50 @@ func TestChunkedRoundTripMatrix(t *testing.T) {
 	}
 }
 
-// TestChunkedWithDeltaChain checks the incremental route: a delta
-// computed between two snapshots, applied on the consumer side, then
-// shipped chunked at every precision must still round-trip within
-// tolerance of the true next snapshot.
+// TestChunkedWithDeltaChain checks the incremental route at every
+// precision: the next snapshot, encoded against the previous version's
+// wire values and shipped as a manifest delta, must reconcile against
+// the receiver's cache to within tolerance of the true next snapshot.
 func TestChunkedWithDeltaChain(t *testing.T) {
 	base := chunkTestSnapshot(1, 5000)
 	next := base.Clone()
 	rng := rand.New(rand.NewSource(2))
 	for i := range next {
 		for j := range next[i].Data {
-			if rng.Intn(10) == 0 {
+			if rng.Intn(200) == 0 {
 				next[i].Data[j] += rng.NormFloat64()
 			}
 		}
 	}
 	for _, eps := range []float64{0, 1e-6} {
-		delta, err := ComputeDelta(base, next, eps)
-		if err != nil {
-			t.Fatalf("ComputeDelta: %v", err)
-		}
-		par, err := ComputeDeltaParallel(base, next, eps, 4)
-		if err != nil {
-			t.Fatalf("ComputeDeltaParallel: %v", err)
-		}
-		if delta.ChangedElements() != par.ChangedElements() {
-			t.Fatalf("parallel delta changed %d elements, serial %d",
-				par.ChangedElements(), delta.ChangedElements())
-		}
-		applied, err := par.Apply(base)
-		if err != nil {
-			t.Fatalf("Apply: %v", err)
-		}
 		for _, p := range []Precision{PrecFloat64, PrecFloat32, PrecFloat16} {
-			ckpt := &Checkpoint{ModelName: "delta", Version: 2, Iteration: 10, Weights: applied}
-			blob, err := EncodeChunked(context.Background(), ckpt,
-				ChunkOptions{Precision: p, ChunkBytes: 1024})
-			if err != nil {
-				t.Fatalf("EncodeChunked: %v", err)
+			opts := ChunkOptions{Precision: p, ChunkBytes: 1024, Parallelism: 4}
+			wire := base.Clone()
+			opts.Base, opts.BaseEps = wire, eps
+			v1, _ := encodeFull(t, &Checkpoint{ModelName: "delta", Version: 1, Weights: base}, opts)
+			cache := NewChunkCache(0)
+			if err := cache.PutAll(v1); err != nil {
+				t.Fatal(err)
 			}
-			got, err := DecodeChunked(context.Background(), blob, 2)
-			ReleaseBuffer(blob)
+			held := map[ChunkHash]bool{}
+			for _, h := range cache.Hashes() {
+				held[h] = true
+			}
+			v2, _ := encodeFull(t, &Checkpoint{ModelName: "delta", Version: 2, Iteration: 10, Weights: next}, opts)
+			delta, hashes, carried, _, err := BuildManifestBlob(v2, func(h ChunkHash) bool { return held[h] })
 			if err != nil {
-				t.Fatalf("DecodeChunked: %v", err)
+				t.Fatal(err)
+			}
+			if carried == 0 || carried == len(hashes) {
+				t.Fatalf("%v eps=%g: carried %d of %d chunks, want a proper subset", p, eps, carried, len(hashes))
+			}
+			got, _, err := ReconcileBlob(context.Background(), delta, cache)
+			if err != nil {
+				t.Fatalf("ReconcileBlob: %v", err)
 			}
 			// eps-dropped changes are below every precision tolerance, so
-			// compare against the exactly-applied snapshot.
-			assertWeightsMatch(t, p, applied, got.Weights)
+			// compare against the exact next snapshot.
+			assertWeightsMatch(t, p, next, got.Weights)
 		}
 	}
 }
@@ -348,24 +345,20 @@ func TestEncodeStreamEmitError(t *testing.T) {
 	assertWeightsMatch(t, PrecFloat64, ckpt.Weights, got.Weights)
 }
 
-// TestDecodeAuto dispatches on all three self-contained magics and
-// rejects delta blobs.
+// TestDecodeAuto dispatches on both self-contained magics and rejects
+// the retired v1 encodings.
 func TestDecodeAuto(t *testing.T) {
 	ckpt := chunkTestCheckpoint(8, 500)
-	lean, err := ckpt.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	quant, err := EncodeQuantized(ckpt, PrecFloat32)
-	if err != nil {
-		t.Fatal(err)
-	}
 	chunked, err := EncodeChunked(context.Background(), ckpt, ChunkOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ReleaseBuffer(chunked)
-	for name, blob := range map[string][]byte{"lean": lean, "quant": quant, "chunked": chunked} {
+	manifest, _, _, _, err := BuildManifestBlob(chunked, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, blob := range map[string][]byte{"chunked": chunked, "manifest": manifest} {
 		got, err := DecodeAuto(context.Background(), blob, 0)
 		if err != nil {
 			t.Fatalf("DecodeAuto(%s): %v", name, err)
@@ -374,16 +367,12 @@ func TestDecodeAuto(t *testing.T) {
 			t.Fatalf("DecodeAuto(%s): metadata mismatch %+v", name, got)
 		}
 	}
-	delta, err := ComputeDelta(ckpt.Weights, ckpt.Weights, 0)
+	lean, err := ckpt.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := delta.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeAuto(context.Background(), db, 0); err == nil {
-		t.Fatal("DecodeAuto accepted a delta blob")
+	if _, err := DecodeAuto(context.Background(), lean, 0); err == nil {
+		t.Fatal("DecodeAuto accepted a retired v1 blob")
 	}
 }
 

@@ -4,9 +4,9 @@ import "sync"
 
 // Buffer pooling for the chunk pipeline. Every encode/decode scratch
 // buffer on the per-iteration save path comes from here, so steady-state
-// checkpointing allocates (almost) nothing: the monolithic legacy path
-// moved each payload through several growing bytes.Buffers, which is
-// exactly the allocation churn the chunked engine exists to cut.
+// checkpointing allocates (almost) nothing: the serial v1 reference
+// encoding (Checkpoint.Encode) moves each payload through a growing
+// bytes.Buffer, exactly the allocation churn the chunked engine cuts.
 //
 // Ownership rule (DESIGN.md §8): a buffer obtained from getBuf is owned
 // by the caller until it is passed to putBuf, after which it must not be

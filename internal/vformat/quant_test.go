@@ -1,24 +1,38 @@
 package vformat
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
 )
 
+// encodeAt round-trips ckpt through the chunk pipeline at precision p,
+// returning the blob size and the decoded checkpoint.
+func encodeAt(t *testing.T, ckpt *Checkpoint, p Precision) (int, *Checkpoint) {
+	t.Helper()
+	blob, err := EncodeChunked(context.Background(), ckpt, ChunkOptions{Precision: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ReleaseBuffer(blob)
+	layout, _, _, err := ParseChunkHeader(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if layout.Precision != p {
+		t.Fatalf("header precision = %v, want %v", layout.Precision, p)
+	}
+	got, err := DecodeChunked(context.Background(), blob, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(blob), got
+}
+
 func TestQuantizedRoundTripFloat64Lossless(t *testing.T) {
 	ckpt := &Checkpoint{ModelName: "m", Version: 2, Iteration: 30, TrainLoss: 0.5, Weights: sampleSnapshot(1)}
-	blob, err := EncodeQuantized(ckpt, PrecFloat64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, p, err := DecodeQuantized(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != PrecFloat64 {
-		t.Fatalf("precision = %v", p)
-	}
+	_, got := encodeAt(t, ckpt, PrecFloat64)
 	for i := range ckpt.Weights {
 		for j := range ckpt.Weights[i].Data {
 			if got.Weights[i].Data[j] != ckpt.Weights[i].Data[j] {
@@ -33,14 +47,7 @@ func TestQuantizedRoundTripFloat64Lossless(t *testing.T) {
 
 func TestQuantizedFloat32BoundedError(t *testing.T) {
 	ckpt := &Checkpoint{ModelName: "m", Weights: sampleSnapshot(2)}
-	blob, err := EncodeQuantized(ckpt, PrecFloat32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, p, err := DecodeQuantized(blob)
-	if err != nil || p != PrecFloat32 {
-		t.Fatalf("decode: %v, %v", p, err)
-	}
+	_, got := encodeAt(t, ckpt, PrecFloat32)
 	for i := range ckpt.Weights {
 		for j, v := range ckpt.Weights[i].Data {
 			rel := math.Abs(got.Weights[i].Data[j]-v) / math.Max(1e-9, math.Abs(v))
@@ -53,14 +60,7 @@ func TestQuantizedFloat32BoundedError(t *testing.T) {
 
 func TestQuantizedFloat16BoundedError(t *testing.T) {
 	ckpt := &Checkpoint{ModelName: "m", Weights: sampleSnapshot(3)}
-	blob, err := EncodeQuantized(ckpt, PrecFloat16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, p, err := DecodeQuantized(blob)
-	if err != nil || p != PrecFloat16 {
-		t.Fatalf("decode: %v, %v", p, err)
-	}
+	_, got := encodeAt(t, ckpt, PrecFloat16)
 	for i := range ckpt.Weights {
 		for j, v := range ckpt.Weights[i].Data {
 			rel := math.Abs(got.Weights[i].Data[j]-v) / math.Max(1e-3, math.Abs(v))
@@ -73,31 +73,34 @@ func TestQuantizedFloat16BoundedError(t *testing.T) {
 
 func TestQuantizedSizeScaling(t *testing.T) {
 	ckpt := &Checkpoint{ModelName: "m", Weights: sampleSnapshot(4)}
-	b64, _ := EncodeQuantized(ckpt, PrecFloat64)
-	b32, _ := EncodeQuantized(ckpt, PrecFloat32)
-	b16, _ := EncodeQuantized(ckpt, PrecFloat16)
-	if !(len(b16) < len(b32) && len(b32) < len(b64)) {
-		t.Fatalf("sizes %d/%d/%d must shrink with precision", len(b64), len(b32), len(b16))
+	b64, _ := encodeAt(t, ckpt, PrecFloat64)
+	b32, _ := encodeAt(t, ckpt, PrecFloat32)
+	b16, _ := encodeAt(t, ckpt, PrecFloat16)
+	if !(b16 < b32 && b32 < b64) {
+		t.Fatalf("sizes %d/%d/%d must shrink with precision", b64, b32, b16)
 	}
 	// Payload dominates: the ratios should approach 2x and 4x.
-	if r := float64(len(b64)) / float64(len(b32)); r < 1.7 {
+	if r := float64(b64) / float64(b32); r < 1.7 {
 		t.Fatalf("f64/f32 ratio = %.2f, want ≈2", r)
 	}
-	if r := float64(len(b64)) / float64(len(b16)); r < 2.8 {
+	if r := float64(b64) / float64(b16); r < 2.8 {
 		t.Fatalf("f64/f16 ratio = %.2f, want ≈4", r)
 	}
 }
 
 func TestQuantizedErrors(t *testing.T) {
 	ckpt := &Checkpoint{ModelName: "m", Weights: sampleSnapshot(5)}
-	if _, err := EncodeQuantized(ckpt, Precision(9)); err == nil {
+	if _, err := NewChunkEncoder(ckpt, ChunkOptions{Precision: Precision(9)}); err == nil {
 		t.Fatal("unknown precision must error")
 	}
-	if _, _, err := DecodeQuantized([]byte("nope")); err == nil {
+	if _, err := DecodeChunked(context.Background(), []byte("nope"), 0); err == nil {
 		t.Fatal("garbage must error")
 	}
-	blob, _ := EncodeQuantized(ckpt, PrecFloat16)
-	if _, _, err := DecodeQuantized(blob[:len(blob)-3]); err == nil {
+	blob, err := EncodeChunked(context.Background(), ckpt, ChunkOptions{Precision: PrecFloat16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeChunked(context.Background(), blob[:len(blob)-3], 0); err == nil {
 		t.Fatal("truncated must error")
 	}
 }

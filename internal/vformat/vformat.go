@@ -4,6 +4,13 @@
 // chunk-index overhead of the h5py-style baseline (internal/h5lite). The
 // paper attributes Viper-PFS's ~1.2–1.3× advantage over the baseline to
 // exactly this difference.
+//
+// The wire format is the chunked v2 container (chunk.go) and its
+// manifest-bearing reconciliation form (manifest.go); every producer
+// emits, and every consumer, relay and tool accepts, only those. The
+// serial v1 encoding below (Checkpoint.Encode / Decode) is kept as the
+// reference the chunked pipeline is tested and benchmarked against; no
+// delivery path uses it.
 package vformat
 
 import (
@@ -32,7 +39,7 @@ type Checkpoint struct {
 	Weights nn.Snapshot
 }
 
-// Encode serializes the checkpoint.
+// Encode serializes the checkpoint in the serial v1 reference layout.
 func (c *Checkpoint) Encode() ([]byte, error) {
 	var buf bytes.Buffer
 	buf.WriteString(magic)

@@ -49,23 +49,36 @@ func TestOptionsDefaultIsChunked(t *testing.T) {
 	}
 }
 
-// TestOptionsChunkSizeZeroIsMonolithic: WithChunkSize(0) restores the
-// legacy monolithic wire format, as does the deprecated config shim's
-// zero value.
-func TestOptionsChunkSizeZeroIsMonolithic(t *testing.T) {
-	prod, cons := optionsPair(t, WithChunkSize(0))
-	sub := cons.Subscribe()
-	defer sub.Close()
+// TestOptionsChunkSizeZeroIsDefault: the chunked pipeline is the only
+// wire format, so WithChunkSize(0) selects DefaultChunkSize rather than
+// switching chunking off; a negative size is refused.
+func TestOptionsChunkSizeZeroIsDefault(t *testing.T) {
+	env := NewEnv(NewVirtualClock())
+	prod, err := NewProducer(env, "nt3", WithChunkSize(0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := models.NT3(rand.New(rand.NewSource(2)), 32)
 	rep, err := prod.SaveWeights(nn.TakeSnapshot(m), 1, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Meta.Format != "vformat" {
-		t.Fatalf("format = %q, want vformat", rep.Meta.Format)
+	if rep.Meta.Format != "vchunk" {
+		t.Fatalf("format = %q, want vchunk", rep.Meta.Format)
 	}
-	if _, err := cons.HandleNotification(<-sub.C); err != nil {
+	payload, err := env.Cluster.Producer.GPU.Read(rep.Meta.Path)
+	if err != nil {
 		t.Fatal(err)
+	}
+	layout, _, _, err := vformat.ParseChunkHeader(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := DefaultChunkSize / 8; layout.ChunkElems != want {
+		t.Fatalf("chunk elems = %d, want %d (DefaultChunkSize)", layout.ChunkElems, want)
+	}
+	if _, err := NewProducer(env, "nt3", WithChunkSize(-1)); err == nil {
+		t.Fatal("negative chunk size must be rejected")
 	}
 }
 

@@ -25,9 +25,10 @@
 //	prod.SaveWeights(nn.TakeSnapshot(model), iter, loss)
 //	report, _ := cons.HandleNotification(<-sub.C)
 //
-// Producers built this way ship checkpoints through the chunked
-// pipeline (fixed-size chunks, per-chunk CRC, pooled buffers) by
-// default; WithChunkSize(0) restores the monolithic wire format.
+// Every producer ships checkpoints in one wire format: the chunked v2
+// pipeline (fixed-size chunks, per-chunk CRC, pooled buffers), whose
+// manifest form carries only the chunks that changed in incremental
+// mode. The h5 layout survives only as the paper's baseline strategy.
 package viper
 
 import (
@@ -108,72 +109,37 @@ const (
 // WithChunkSize is not given (vformat.DefaultChunkBytes).
 const DefaultChunkSize = vformat.DefaultChunkBytes
 
-// ProducerConfig configures a Producer built through the deprecated
-// NewProducerFromConfig shim. New code should use NewProducer with
-// functional options instead.
-type ProducerConfig struct {
-	// Model names the model (keys, channels).
-	Model string
-	// Strategy selects the transfer path.
-	Strategy Strategy
-	// VirtualSize is the accounted checkpoint size in bytes (0 = real
-	// payload size). Use the paper sizes for paper-scale accounting.
-	VirtualSize int64
-	// FlushHistory enables background PFS flushes for fault tolerance
-	// (and Consumer.RecoverFromPFS after crashes).
-	FlushHistory bool
-	// Precision selects the wire precision (default lossless float64).
-	Precision Precision
-	// Incremental enables Check-N-Run-style delta checkpoints with a
-	// full refresh every FullEvery versions; DeltaEps suppresses element
-	// changes below the threshold (0 = exact).
-	Incremental bool
-	// DeltaEps is the delta suppression threshold.
-	DeltaEps float64
-	// FullEvery is the incremental full-refresh cadence (default 10).
-	FullEvery int
-	// ChunkSize, when positive, encodes checkpoints through the chunked
-	// pipeline in ChunkSize-byte chunks ("vchunk"); zero keeps the
-	// legacy monolithic formats. NewProducer defaults this to
-	// DefaultChunkSize; the zero-value config stays monolithic for
-	// backward compatibility.
-	ChunkSize int
-	// Parallelism bounds the chunk-encode/decode worker pool
-	// (0 = GOMAXPROCS).
-	Parallelism int
-	// TimeTravelDir, when non-empty, attaches a durable content-addressed
-	// store at that directory: every self-contained checkpoint is written
-	// through at save time, older versions stay reloadable with
-	// Producer.LoadVersion, and Producer.Rollback rewinds the lineage.
-	TimeTravelDir string
-	// TimeTravelKeep bounds how many versions the time-travel store
-	// retains (0 = unbounded).
-	TimeTravelKeep int
+// producerConfig collects the options of one NewProducer call: the
+// weights handler's configuration plus the time-travel store to open.
+type producerConfig struct {
+	handler        core.HandlerConfig
+	timeTravelDir  string
+	timeTravelKeep int
 }
 
 // Option configures a Producer built by NewProducer.
-type Option func(*ProducerConfig)
+type Option func(*producerConfig)
 
 // WithStrategy selects the transfer route and mode (default GPU/async,
 // the paper's headline memory-first path).
 func WithStrategy(s Strategy) Option {
-	return func(c *ProducerConfig) { c.Strategy = s }
+	return func(c *producerConfig) { c.handler.Strategy = s }
 }
 
 // WithPrecision selects the wire precision (default lossless float64).
 func WithPrecision(p Precision) Option {
-	return func(c *ProducerConfig) { c.Precision = p }
+	return func(c *producerConfig) { c.handler.Precision = p }
 }
 
-// WithIncremental enables Check-N-Run-style delta checkpoints: element
-// changes below eps are suppressed (0 = exact) and a self-contained
-// full refresh is forced every fullEvery versions (0 = the default
-// cadence).
+// WithIncremental enables Check-N-Run-style delta checkpoints: between
+// self-contained full refreshes every fullEvery versions (0 = the
+// default cadence), a save ships only the chunks that changed, with
+// element changes below eps suppressed (0 = exact).
 func WithIncremental(eps float64, fullEvery int) Option {
-	return func(c *ProducerConfig) {
-		c.Incremental = true
-		c.DeltaEps = eps
-		c.FullEvery = fullEvery
+	return func(c *producerConfig) {
+		c.handler.Incremental = true
+		c.handler.DeltaEps = eps
+		c.handler.FullEvery = fullEvery
 	}
 }
 
@@ -181,26 +147,25 @@ func WithIncremental(eps float64, fullEvery int) Option {
 // checkpoint of the given size in bytes instead of the real payload
 // (paper-scale simulations on small stand-in models).
 func WithVirtualSize(bytes int64) Option {
-	return func(c *ProducerConfig) { c.VirtualSize = bytes }
+	return func(c *producerConfig) { c.handler.VirtualSize = bytes }
 }
 
 // WithFlushHistory enables background PFS flushes for fault tolerance
 // (and Consumer.RecoverFromPFS after crashes).
 func WithFlushHistory() Option {
-	return func(c *ProducerConfig) { c.FlushHistory = true }
+	return func(c *producerConfig) { c.handler.FlushHistory = true }
 }
 
-// WithChunkSize sets the chunked pipeline's chunk granularity in bytes.
-// Zero disables chunking and restores the legacy monolithic wire
-// format; unset, NewProducer uses DefaultChunkSize.
+// WithChunkSize sets the chunked pipeline's chunk granularity in bytes
+// (0 = DefaultChunkSize, the default; negative is an error).
 func WithChunkSize(bytes int) Option {
-	return func(c *ProducerConfig) { c.ChunkSize = bytes }
+	return func(c *producerConfig) { c.handler.ChunkSize = bytes }
 }
 
 // WithParallelism bounds the chunk encode worker pool (default
 // GOMAXPROCS).
 func WithParallelism(n int) Option {
-	return func(c *ProducerConfig) { c.Parallelism = n }
+	return func(c *producerConfig) { c.handler.Parallelism = n }
 }
 
 // WithTimeTravel attaches a durable time-travel store rooted at dir:
@@ -210,9 +175,9 @@ func WithParallelism(n int) Option {
 // travel the retained history. The store recovers its full inventory
 // across producer restarts, resuming the version lineage.
 func WithTimeTravel(dir string, keep int) Option {
-	return func(c *ProducerConfig) {
-		c.TimeTravelDir = dir
-		c.TimeTravelKeep = keep
+	return func(c *producerConfig) {
+		c.timeTravelDir = dir
+		c.timeTravelKeep = keep
 	}
 }
 
@@ -227,51 +192,26 @@ type Producer struct {
 // Without options it checkpoints over the GPU route in async mode,
 // lossless, through the chunked pipeline at DefaultChunkSize.
 func NewProducer(env *Env, model string, opts ...Option) (*Producer, error) {
-	cfg := ProducerConfig{
-		Model:     model,
-		Strategy:  Strategy{Route: RouteGPU, Mode: ModeAsync},
-		ChunkSize: DefaultChunkSize,
-	}
+	cfg := producerConfig{handler: core.HandlerConfig{
+		Model:    model,
+		Strategy: Strategy{Route: RouteGPU, Mode: ModeAsync},
+	}}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return newProducer(env, cfg)
-}
-
-// NewProducerFromConfig constructs a producer from a ProducerConfig.
-//
-// Deprecated: use NewProducer with functional options. This shim keeps
-// pre-options callers compiling; note its zero-value ChunkSize selects
-// the legacy monolithic wire format, unlike NewProducer.
-func NewProducerFromConfig(env *Env, cfg ProducerConfig) (*Producer, error) {
-	return newProducer(env, cfg)
-}
-
-func newProducer(env *Env, cfg ProducerConfig) (*Producer, error) {
 	var store *chunkstore.Store
-	if cfg.TimeTravelDir != "" {
+	if cfg.timeTravelDir != "" {
 		var err error
-		store, err = chunkstore.Open(cfg.TimeTravelDir, chunkstore.Options{
-			Retention: chunkstore.Retention{MaxVersions: cfg.TimeTravelKeep},
+		store, err = chunkstore.Open(cfg.timeTravelDir, chunkstore.Options{
+			Retention: chunkstore.Retention{MaxVersions: cfg.timeTravelKeep},
 			Clock:     env.Clock,
 		})
 		if err != nil {
 			return nil, err
 		}
+		cfg.handler.Store = store
 	}
-	h, err := core.NewWeightsHandler(env, core.HandlerConfig{
-		Model:        cfg.Model,
-		Strategy:     cfg.Strategy,
-		VirtualSize:  cfg.VirtualSize,
-		FlushHistory: cfg.FlushHistory,
-		Precision:    cfg.Precision,
-		Incremental:  cfg.Incremental,
-		DeltaEps:     cfg.DeltaEps,
-		FullEvery:    cfg.FullEvery,
-		ChunkSize:    cfg.ChunkSize,
-		Parallelism:  cfg.Parallelism,
-		Store:        store,
-	})
+	h, err := core.NewWeightsHandler(env, cfg.handler)
 	if err != nil {
 		if store != nil {
 			store.Close()
@@ -282,7 +222,7 @@ func newProducer(env *Env, cfg ProducerConfig) (*Producer, error) {
 		// Continue the version lineage across restarts: the store's
 		// newest retained version seeds the counter, so a reopened
 		// producer never reuses a version number.
-		if m, ok := store.Latest(cfg.Model); ok {
+		if m, ok := store.Latest(model); ok {
 			h.ResumeFrom(m.Version)
 		}
 	}
@@ -390,28 +330,6 @@ func NewConsumer(env *Env, model string, opts ...ConsumerOption) (*Consumer, err
 		opt(&o)
 	}
 	return core.NewConsumerOpts(env, model, o)
-}
-
-// NewServingConsumer constructs a consumer that restores every update
-// into serving.
-//
-// Deprecated: use NewConsumer with WithServing. This shim keeps
-// pre-options callers compiling.
-func NewServingConsumer(env *Env, model string, serving nn.Model) (*Consumer, error) {
-	return NewConsumer(env, model, WithServing(serving))
-}
-
-// NewExtraConsumer constructs an additional consumer with its own
-// dedicated broadcast links (the multi-consumer pattern).
-//
-// Deprecated: use NewConsumer with WithExtra (plus WithServing for a
-// live model). This shim keeps pre-options callers compiling.
-func NewExtraConsumer(env *Env, model string, serving nn.Model) (*Consumer, error) {
-	opts := []ConsumerOption{WithExtra()}
-	if serving != nil {
-		opts = append(opts, WithServing(serving))
-	}
-	return NewConsumer(env, model, opts...)
 }
 
 // Schedules (paper §4.3).
