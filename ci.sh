@@ -37,9 +37,11 @@ go test -race ./...
 
 # The benchmark module (e2ebench/) imports this module through a replace
 # directive but is not part of ./..., so an API change here could break
-# it unnoticed until the benchmark itself runs. Vet and test it too.
-echo "==> e2ebench module (go vet + go test)"
-(cd e2ebench && go vet . && go test .)
+# it unnoticed until the benchmark itself runs. Vet and test it too —
+# under the race detector, like ./...: its tests drive the real
+# producer → relay → consumer topology over TCP.
+echo "==> e2ebench module (go vet + go test -race)"
+(cd e2ebench && go vet . && go test -race .)
 
 # The leakcheck-gated packages rerun uncached: a cached 'ok' would skip
 # the TestMain goroutine-leak check entirely, so -count=1 forces the

@@ -600,29 +600,41 @@ func (s *Store) syncSegmentsLocked() error {
 
 // AppendChunk stores one v2 chunk record, deduplicating by content
 // hash. The record is durable (and referenced) only after a following
-// Commit.
+// Commit. It hashes rec; a caller that already holds the hash uses
+// AppendHashedChunk.
 func (s *Store) AppendChunk(rec []byte) (vformat.ChunkHash, error) {
-	var zero vformat.ChunkHash
+	h := vformat.HashChunkRecord(rec)
+	if err := s.AppendHashedChunk(h, rec); err != nil {
+		return vformat.ChunkHash{}, err
+	}
+	return h, nil
+}
+
+// AppendHashedChunk is AppendChunk for a record whose content hash the
+// caller computed when the record entered the process: h must be
+// vformat.HashChunkRecord(rec). The record's CRC is still verified —
+// the store never writes a corrupt record — and a reopen re-derives
+// every index hash from the bytes on disk.
+func (s *Store) AppendHashedChunk(h vformat.ChunkHash, rec []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.usableLocked(); err != nil {
-		return zero, err
+		return err
 	}
 	if !vformat.VerifyChunkRecord(rec) {
-		return zero, fmt.Errorf("%w: refusing corrupt input record", ErrCorrupt)
+		return fmt.Errorf("%w: refusing corrupt input record", ErrCorrupt)
 	}
-	h := vformat.HashChunkRecord(rec)
 	if _, ok := s.index[h]; ok {
 		s.st.DedupedChunks++
 		inst.deduped.Inc()
-		return h, nil
+		return nil
 	}
 	loc, err := s.appendBodyLocked(entryChunk, rec, "chunkstore/append")
 	if err != nil {
-		return zero, err
+		return err
 	}
 	s.index[h] = loc
-	return h, nil
+	return nil
 }
 
 // Commit durably binds model/version to an ordered chunk hash list
@@ -714,23 +726,11 @@ func (s *Store) PutMonolithic(model string, version uint64, key string, payload 
 func (s *Store) PutBlob(model string, version uint64, key string, blob []byte) error {
 	switch {
 	case vformat.IsChunked(blob):
-		_, _, headerLen, err := vformat.ParseChunkHeader(blob)
+		hashes, err := vformat.ChunkHashesOf(blob)
 		if err != nil {
 			return fmt.Errorf("chunkstore: %w", err)
 		}
-		var hashes []vformat.ChunkHash
-		err = vformat.WalkChunkRecords(blob, func(rec []byte) error {
-			h, aerr := s.AppendChunk(rec)
-			if aerr != nil {
-				return aerr
-			}
-			hashes = append(hashes, h)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		return s.Commit(model, version, key, blob[:headerLen], hashes)
+		return s.PutBlobHashes(model, version, key, blob, hashes)
 	case vformat.IsManifest(blob):
 		man, err := vformat.ParseManifest(blob)
 		if err != nil {
@@ -747,6 +747,30 @@ func (s *Store) PutBlob(model string, version uint64, key string, blob []byte) e
 	default:
 		return s.PutMonolithic(model, version, key, blob)
 	}
+}
+
+// PutBlobHashes is PutBlob for a plain chunked (v2) blob whose record
+// hashes the caller already holds: hashes[i] must be
+// vformat.HashChunkRecord of chunk i (the encoder's Hashes). A hash
+// list whose length is not the blob's chunk count is an error.
+func (s *Store) PutBlobHashes(model string, version uint64, key string, blob []byte, hashes []vformat.ChunkHash) error {
+	layout, _, headerLen, err := vformat.ParseChunkHeader(blob)
+	if err != nil {
+		return fmt.Errorf("chunkstore: %w", err)
+	}
+	if len(hashes) != layout.NumChunks {
+		return fmt.Errorf("chunkstore: %d hashes for %d chunks", len(hashes), layout.NumChunks)
+	}
+	i := 0
+	err = vformat.WalkChunkRecords(blob, func(rec []byte) error {
+		h := hashes[i]
+		i++
+		return s.AppendHashedChunk(h, rec)
+	})
+	if err != nil {
+		return err
+	}
+	return s.Commit(model, version, key, blob[:headerLen], hashes)
 }
 
 // Chunk returns a copy of the stored record for h, verifying its

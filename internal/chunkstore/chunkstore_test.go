@@ -504,3 +504,62 @@ func TestInterleavedCommitUnpinsPendingAppends(t *testing.T) {
 		t.Fatalf("Commit after interleaved commit: err = %v, want ErrMissingChunk (pin clearing now writer-scoped?)", err)
 	}
 }
+
+// TestPutBlobHashesMatchesPutBlob: a write keyed by the caller's hashes
+// (the encoder's) commits the same version PutBlob commits by hashing
+// the blob itself — same header, hash list and bytes, same reload — and
+// a reopen, which re-derives every index hash from the bytes on disk,
+// finds every committed hash. A hash list of the wrong length is
+// refused before anything is written.
+func TestPutBlobHashesMatchesPutBlob(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	blob := testBlob(t, 21, 4096, 1)
+	hashes, err := vformat.ChunkHashesOf(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutBlob("plain", 1, "plain/v00000001", blob); err != nil {
+		t.Fatalf("PutBlob: %v", err)
+	}
+	if err := s.PutBlobHashes("hashed", 1, "hashed/v00000001", blob, hashes); err != nil {
+		t.Fatalf("PutBlobHashes: %v", err)
+	}
+	for _, bad := range [][]vformat.ChunkHash{hashes[1:], nil} {
+		if err := s.PutBlobHashes("bad", 1, "bad/v00000001", blob, bad); err == nil {
+			t.Fatalf("%d hashes for %d chunks: want an error", len(bad), len(hashes))
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := mustOpen(t, dir, Options{})
+	defer s2.Close()
+	if vs := s2.Versions("bad"); len(vs) != 0 {
+		t.Fatalf("refused write left versions %v", vs)
+	}
+	plain, ok1 := s2.Meta("plain", 1)
+	hashed, ok2 := s2.Meta("hashed", 1)
+	if !ok1 || !ok2 {
+		t.Fatalf("versions lost across reopen (plain %v, hashed %v)", ok1, ok2)
+	}
+	if !bytes.Equal(plain.Header, hashed.Header) || plain.Bytes != hashed.Bytes || len(plain.Hashes) != len(hashed.Hashes) {
+		t.Fatalf("commits differ: plain %d bytes/%d hashes, hashed %d bytes/%d hashes",
+			plain.Bytes, len(plain.Hashes), hashed.Bytes, len(hashed.Hashes))
+	}
+	for i, h := range hashed.Hashes {
+		if h != plain.Hashes[i] || h != hashes[i] {
+			t.Fatalf("hash %d differs between the two writes", i)
+		}
+		if _, ok := s2.Chunk(h); !ok {
+			t.Fatalf("reopen lost committed chunk %s", h)
+		}
+	}
+	for _, model := range []string{"plain", "hashed"} {
+		got, err := s2.LoadVersion(model, 1)
+		if err != nil || !bytes.Equal(got, blob) {
+			t.Fatalf("%s reload differs after reopen (err %v)", model, err)
+		}
+	}
+}

@@ -348,16 +348,18 @@ func (h *WeightsHandler) Rollback(ctx context.Context, version uint64) (*vformat
 }
 
 // encode serializes the checkpoint in the strategy's format and returns
-// (payload, format, accounted size): the h5 baseline, or the chunked v2
-// pipeline output — a full "vchunk" blob or, in incremental mode, a
-// "vrecon" delta against the previously published version.
-func (h *WeightsHandler) encode(ctx context.Context, ckpt *vformat.Checkpoint) ([]byte, string, int64, error) {
+// (payload, format, accounted size, chunk hashes): the h5 baseline, or
+// the chunked v2 pipeline output — a full "vchunk" blob with its
+// encoder's per-chunk hashes or, in incremental mode, a "vrecon" delta
+// against the previously published version. Hashes are nil for every
+// payload but "vchunk".
+func (h *WeightsHandler) encode(ctx context.Context, ckpt *vformat.Checkpoint) ([]byte, string, int64, []vformat.ChunkHash, error) {
 	if !h.strategy.Baseline {
 		return h.encodeChunked(ctx, ckpt)
 	}
 	payload, err := encodeH5(ckpt)
 	if err != nil {
-		return nil, "", 0, err
+		return nil, "", 0, nil, err
 	}
 	size := h.virtualSize
 	if size <= 0 {
@@ -365,7 +367,7 @@ func (h *WeightsHandler) encode(ctx context.Context, ckpt *vformat.Checkpoint) (
 	}
 	// The baseline pays for its fragmented metadata-heavy layout.
 	size = int64(float64(size) * H5FragmentationFactor)
-	return payload, "h5", size, nil
+	return payload, "h5", size, nil, nil
 }
 
 // encodeChunked is the chunked-pipeline encode: full checkpoints become
@@ -381,7 +383,7 @@ func (h *WeightsHandler) encode(ctx context.Context, ckpt *vformat.Checkpoint) (
 // In-process routes ship the blob as one frame to preserve the links'
 // latest-wins queue semantics; multi-frame streaming lives in the
 // remote transport.
-func (h *WeightsHandler) encodeChunked(ctx context.Context, ckpt *vformat.Checkpoint) ([]byte, string, int64, error) {
+func (h *WeightsHandler) encodeChunked(ctx context.Context, ckpt *vformat.Checkpoint) ([]byte, string, int64, []vformat.ChunkHash, error) {
 	// The payload-equivalent of a lean full encode (8 bytes/element),
 	// the reference for virtual-size scaling.
 	physFull := ckpt.Weights.NumBytes()
@@ -410,21 +412,21 @@ func (h *WeightsHandler) encodeChunked(ctx context.Context, ckpt *vformat.Checkp
 	}
 	enc, err := vformat.NewChunkEncoder(ckpt, opts)
 	if err != nil {
-		return nil, "", 0, fmt.Errorf("core: chunked encode: %w", err)
+		return nil, "", 0, nil, fmt.Errorf("core: chunked encode: %w", err)
 	}
 	if err := enc.EncodeStream(ctx, nil); err != nil {
 		enc.Release()
-		return nil, "", 0, fmt.Errorf("core: chunked encode: %w", err)
+		return nil, "", 0, nil, fmt.Errorf("core: chunked encode: %w", err)
 	}
 	blob, err := enc.Blob()
 	if err != nil {
 		enc.Release()
-		return nil, "", 0, err
+		return nil, "", 0, nil, err
 	}
 	hashes, err := enc.Hashes()
 	if err != nil {
 		enc.Release()
-		return nil, "", 0, err
+		return nil, "", 0, nil, err
 	}
 	if h.incremental {
 		h.mu.Lock()
@@ -443,10 +445,10 @@ func (h *WeightsHandler) encodeChunked(ctx context.Context, ckpt *vformat.Checkp
 		for _, ch := range prev {
 			have[ch] = true
 		}
-		delta, _, _, elided, err := vformat.BuildManifestBlob(blob, func(ch vformat.ChunkHash) bool { return have[ch] })
+		delta, _, elided, err := vformat.BuildManifestBlobHashes(blob, hashes, func(ch vformat.ChunkHash) bool { return have[ch] })
 		if err != nil {
 			enc.Release()
-			return nil, "", 0, fmt.Errorf("core: building manifest blob: %w", err)
+			return nil, "", 0, nil, fmt.Errorf("core: building manifest blob: %w", err)
 		}
 		if elided > 0 && len(delta) < len(blob) {
 			// The manifest blob is freshly allocated, so the pooled full
@@ -456,7 +458,7 @@ func (h *WeightsHandler) encodeChunked(ctx context.Context, ckpt *vformat.Checkp
 			if size < 1 {
 				size = 1
 			}
-			return delta, "vrecon", size, nil
+			return delta, "vrecon", size, nil, nil
 		}
 	}
 	// The blob's ownership transfers to the storage tiers/links below, so
@@ -472,7 +474,7 @@ func (h *WeightsHandler) encodeChunked(ctx context.Context, ckpt *vformat.Checkp
 		size = int64(len(blob))
 	}
 	//lint:ignore poolown the blob's ownership transfers to the storage tiers/links below; Release here would double-issue the pooled buffer
-	return blob, "vchunk", size, nil
+	return blob, "vchunk", size, hashes, nil
 }
 
 // Save checkpoints the given snapshot taken at iteration with the
@@ -501,7 +503,7 @@ func (h *WeightsHandler) SaveContext(ctx context.Context, snapshot nn.Snapshot, 
 		TrainLoss: loss,
 		Weights:   snapshot,
 	}
-	payload, format, size, err := h.encode(ctx, ckpt)
+	payload, format, size, hashes, err := h.encode(ctx, ckpt)
 	if err != nil {
 		return nil, err
 	}
@@ -598,7 +600,10 @@ func (h *WeightsHandler) SaveContext(ctx context.Context, snapshot nn.Snapshot, 
 	// same reason the PFS flush skips them — a replay cannot reconstruct
 	// a chain — so the store holds only self-contained versions.
 	if h.store != nil && format != "vrecon" {
-		err := h.store.PutBlob(h.model, version, key, payload)
+		// The store never sees the h5 baseline (NewWeightsHandler
+		// rejects that pairing), so payload is a plain chunked blob and
+		// the encoder's hashes key its records.
+		err := h.store.PutBlobHashes(h.model, version, key, payload, hashes)
 		h.mu.Lock()
 		if err == nil {
 			h.stats.StoredVersions++

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -160,8 +159,23 @@ func (c *Client) Ping() error {
 
 // Set assigns value to key on the server.
 func (c *Client) Set(key, value string) error {
+	return c.set(key, len(value), func(w *bufio.Writer) { w.WriteString(value) })
+}
+
+// SetBytes is Set for a value held as bytes: it is written straight
+// into the connection's buffer, with no intermediate string copy — the
+// form multi-megabyte staging payloads use.
+func (c *Client) SetBytes(key string, value []byte) error {
+	return c.set(key, len(value), func(w *bufio.Writer) { w.Write(value) })
+}
+
+// set sends one SET whose n-byte value writeValue emits after the
+// header (a bufio.Writer write error is sticky and surfaces at Flush).
+func (c *Client) set(key string, n int, writeValue func(w *bufio.Writer)) error {
 	return c.do(true, func() error {
-		fmt.Fprintf(c.w, "SET %s %d\r\n%s\r\n", key, len(value), value)
+		fmt.Fprintf(c.w, "SET %s %d\r\n", key, n)
+		writeValue(c.w)
+		c.w.WriteString("\r\n")
 		if err := c.w.Flush(); err != nil {
 			return err
 		}
@@ -300,11 +314,7 @@ func (c *Client) readBulk() (string, error) {
 	if n < 0 {
 		return "", retry.Permanent(ErrNotFound)
 	}
-	buf := make([]byte, n+2)
-	if _, err := io.ReadFull(c.r, buf); err != nil {
-		return "", err
-	}
-	return string(buf[:n]), nil
+	return readValue(c.r, n)
 }
 
 func (c *Client) readInt() (int64, error) {

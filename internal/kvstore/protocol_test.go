@@ -141,3 +141,83 @@ func TestServerCloseIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestProtocolSetRejectsBadTerminator: a SET whose declared length does
+// not land on the \r\n terminator is a desynchronized stream. The server
+// must refuse the value — not store the first n bytes and carry on
+// reading the rest as the next command — and drop the connection.
+func TestProtocolSetRejectsBadTerminator(t *testing.T) {
+	store := NewStore()
+	srv := NewServer(store)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	r := bufio.NewReader(conn)
+	// Declares 3 bytes but sends 5 before the CRLF.
+	if _, err := conn.Write([]byte("SET k 3\r\nabcXY\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got := readLine(t, r); !strings.HasPrefix(got, "-ERR") {
+		t.Fatalf("SET reply = %q, want an error", got)
+	}
+	if line, err := r.ReadString('\n'); err == nil {
+		t.Fatalf("connection still serving after a desync: read %q", line)
+	}
+	if v, err := store.Get("k"); err == nil {
+		t.Fatalf("mis-framed value stored as %q", v)
+	}
+}
+
+// TestClientBulkRejectsBadTerminator: the client's bulk reader applies
+// the same framing check to a server reply whose length is wrong.
+func TestClientBulkRejectsBadTerminator(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		r := bufio.NewReader(conn)
+		if _, err := r.ReadString('\n'); err != nil {
+			return
+		}
+		conn.Write([]byte("$3\r\nabcXY\r\n"))
+		r.ReadString('\n') // hold the conn open until the client hangs up
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if v, err := c.Get("k"); err == nil {
+		t.Fatalf("mis-framed bulk reply accepted as %q", v)
+	}
+}
+
+// TestClientSetBytesRoundTrip: the []byte SET form frames values exactly
+// like Set, including empty values and values carrying CRLF.
+func TestClientSetBytesRoundTrip(t *testing.T) {
+	_, c := newServerClient(t)
+	for _, v := range []string{"", "plain", "with\r\nCRLF\r\n", strings.Repeat("y", 1<<16)} {
+		if err := c.SetBytes("k", []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Get("k")
+		if err != nil || got != v {
+			t.Fatalf("Get after SetBytes(%d bytes) = %d bytes, err %v", len(v), len(got), err)
+		}
+	}
+}

@@ -2,12 +2,14 @@ package kvstore
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"strconv"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // Server exposes a Store over TCP using a RESP-like text protocol:
@@ -20,6 +22,9 @@ import (
 //	PING                                 → +PONG
 //
 // Values are length-prefixed so they may contain spaces and newlines.
+// A value whose declared length does not land on its trailing \r\n is
+// refused with -ERR and the desynchronized connection is closed; the
+// client applies the same check to bulk replies.
 type Server struct {
 	store *Store
 
@@ -124,11 +129,18 @@ func (s *Server) dispatch(line string, r *bufio.Reader, w *bufio.Writer) error {
 			fmt.Fprint(w, "-ERR bad length\r\n")
 			return nil
 		}
-		buf := make([]byte, n+2) // payload + trailing \r\n
-		if _, err := io.ReadFull(r, buf); err != nil {
+		v, err := readValue(r, n)
+		if errors.Is(err, errBadFrame) {
+			// The length did not match the bytes sent: the stream is
+			// desynchronized, so refuse the value and drop the conn.
+			fmt.Fprintf(w, "-ERR %s\r\n", err)
+			w.Flush()
 			return err
 		}
-		s.store.Set(parts[1], string(buf[:n]))
+		if err != nil {
+			return err
+		}
+		s.store.Set(parts[1], v)
 		fmt.Fprint(w, "+OK\r\n")
 	case "GET":
 		if len(parts) < 2 {
@@ -140,7 +152,9 @@ func (s *Server) dispatch(line string, r *bufio.Reader, w *bufio.Writer) error {
 			fmt.Fprint(w, "$-1\r\n")
 			return nil
 		}
-		fmt.Fprintf(w, "$%d\r\n%s\r\n", len(v), v)
+		fmt.Fprintf(w, "$%d\r\n", len(v))
+		w.WriteString(v)
+		w.WriteString("\r\n")
 	case "DEL":
 		if len(parts) < 2 {
 			fmt.Fprint(w, "-ERR usage: DEL key\r\n")
@@ -176,6 +190,30 @@ func (s *Server) dispatch(line string, r *bufio.Reader, w *bufio.Writer) error {
 		fmt.Fprintf(w, "-ERR unknown command %q\r\n", cmd)
 	}
 	return nil
+}
+
+// errBadFrame reports a length-prefixed value whose bytes were not
+// followed by the \r\n terminator: the declared length was wrong, so
+// the stream is out of sync and the value is refused.
+var errBadFrame = errors.New("kvstore: value not terminated by CRLF")
+
+// readValue reads an n-byte length-prefixed value and its \r\n
+// terminator, shared by the server's SET and the client's bulk replies.
+// The value is read with one allocation and handed out as a string
+// without a second copy: buf never escapes or changes after the read.
+func readValue(r *bufio.Reader, n int) (string, error) {
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return "", err
+	}
+	var term [2]byte
+	if _, err := io.ReadFull(r, term[:]); err != nil {
+		return "", err
+	}
+	if term != [2]byte{'\r', '\n'} {
+		return "", errBadFrame
+	}
+	return unsafe.String(unsafe.SliceData(buf), n), nil
 }
 
 // Close stops the listener and closes every open connection. It is

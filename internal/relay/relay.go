@@ -606,7 +606,9 @@ func (r *Relay) persistVersion(v *version) {
 	defer r.storeMu.Unlock()
 	var err error
 	for _, e := range v.held {
-		if _, err = r.store.AppendChunk(e.payload); err != nil {
+		// e.hash was computed when the record entered the relay; the
+		// store still CRC-checks the bytes before writing them.
+		if err = r.store.AppendHashedChunk(e.hash, e.payload); err != nil {
 			break
 		}
 	}
@@ -745,13 +747,13 @@ func (r *Relay) releaseChunk(e *chunkEntry) {
 	}
 }
 
-// internChunkLocked interns one verified chunk record into the
+// internChunkLocked interns one verified chunk record, whose content
+// hash h the caller computed outside the lock, into the
 // content-addressed store and takes a reference on the caller's behalf
 // (the caller parks the returned entry in its version's held list). An
 // already-resident record costs no new storage and is counted as
 // deduped against v. Callers hold r.mu.
-func (r *Relay) internChunkLocked(rec []byte, v *version) *chunkEntry {
-	h := vformat.HashChunkRecord(rec)
+func (r *Relay) internChunkLocked(h vformat.ChunkHash, rec []byte, v *version) *chunkEntry {
 	e := r.chunks[h]
 	if e == nil {
 		e = &chunkEntry{hash: h, payload: append([]byte(nil), rec...)}
@@ -1045,12 +1047,14 @@ func (r *Relay) startDeltaBuild(link *transport.TCPLink, f transport.Frame, mode
 		// delta push right after a restart (or against a demoted shell)
 		// completes without a need-list round trip.
 		for h, i := range b.missing {
+			// A record read back from disk enters the process here: hash
+			// it, and only a match may cover the position.
 			rec, ok := r.store.Chunk(h)
-			if !ok {
+			if !ok || vformat.HashChunkRecord(rec) != h {
 				continue
 			}
 			r.mu.Lock()
-			e := r.internChunkLocked(rec, v)
+			e := r.internChunkLocked(h, rec, v)
 			v.held = append(v.held, e)
 			r.mu.Unlock()
 			delete(b.missing, h)
@@ -1070,13 +1074,16 @@ func (r *Relay) startDeltaBuild(link *transport.TCPLink, f transport.Frame, mode
 
 // addRecord folds one verified chunk record into its build, interning
 // the bytes into the content-addressed store, and commits the version
-// once every position is covered. On a delta build that received every
-// announced record and still has gaps, the missing hashes are requested
-// from the producer (the relay evicted them after advertising).
+// once every position is covered. The record is hashed exactly once,
+// here and outside the catalog lock: that hash places a delta record,
+// keys the intern, and later keys the store write. On a delta build
+// that received every announced record and still has gaps, the missing
+// hashes are requested from the producer (the relay evicted them after
+// advertising).
 func (r *Relay) addRecord(link *transport.TCPLink, f transport.Frame, b *building, pending map[string]*building) {
+	h := vformat.HashChunkRecord(f.Payload)
 	pos := -1
 	if b.v.delta {
-		h := vformat.HashChunkRecord(f.Payload)
 		p, ok := b.missing[h]
 		if !ok {
 			// A record the manifest does not miss (duplicate or stale):
@@ -1099,7 +1106,7 @@ func (r *Relay) addRecord(link *transport.TCPLink, f transport.Frame, b *buildin
 	b.covered[pos] = true
 	b.left--
 	r.mu.Lock()
-	e := r.internChunkLocked(f.Payload, b.v)
+	e := r.internChunkLocked(h, f.Payload, b.v)
 	b.v.held = append(b.v.held, e)
 	b.v.hashes[pos] = e.hash
 	r.mu.Unlock()

@@ -220,14 +220,16 @@ type Producer struct {
 	// pump replaces the map wholesale, so a snapshot taken under mu is
 	// safe to read lock-free afterwards.
 	peerHave map[vformat.ChunkHash]bool
-	// lastBlob/lastKey/lastTags remember the newest published chunked
-	// blob so need-lists for it can be answered after the encoder is
-	// released. Only the latest version is answerable: a need-list for a
-	// superseded build is ignored (latest-wins; the receiver's build is
-	// superseded moments later anyway).
-	lastBlob []byte
-	lastKey  string
-	lastTags map[string]string
+	// lastBlob/lastHashes/lastKey/lastTags remember the newest published
+	// chunked blob and its encoder's per-chunk hashes so need-lists for
+	// it can be answered after the encoder is released, without hashing
+	// the blob again. Only the latest version is answerable: a need-list
+	// for a superseded build is ignored (latest-wins; the receiver's
+	// build is superseded moments later anyway).
+	lastBlob   []byte
+	lastHashes []vformat.ChunkHash
+	lastKey    string
+	lastTags   map[string]string
 	// lastSnap is the previous publish's wire values, the comparison
 	// base for DeltaEps suppression. putElemsBase mutates it in place
 	// to each new version's wire values, keeping producer-side
@@ -408,7 +410,7 @@ func (p *Producer) answerNeed(f transport.Frame) {
 		return
 	}
 	p.mu.Lock()
-	blob, lastKey, tags := p.lastBlob, p.lastKey, p.lastTags
+	blob, blobHashes, lastKey, tags := p.lastBlob, p.lastHashes, p.lastKey, p.lastTags
 	p.mu.Unlock()
 	if blob == nil || key != lastKey {
 		return
@@ -418,22 +420,25 @@ func (p *Producer) answerNeed(f transport.Frame) {
 		need[h] = true
 	}
 	conn := transport.WithMeta(p.link, tags)
+	i := 0
 	_ = vformat.WalkChunkRecords(blob, func(rec []byte) error {
-		if need[vformat.HashChunkRecord(rec)] {
+		h := blobHashes[i]
+		i++
+		if need[h] {
 			return conn.Send(transport.ChunkRecordFrame(key, rec, 0))
 		}
 		return nil
 	})
 }
 
-// rememberBlob retains a copy of the newest published chunked blob (and
-// its frame tags) for answering need-lists; blob aliases the encoder's
-// pooled buffer, so the copy must not.
-func (p *Producer) rememberBlob(key string, tags map[string]string, blob []byte) {
+// rememberBlob retains a copy of the newest published chunked blob (with
+// its per-chunk hashes and frame tags) for answering need-lists; blob
+// aliases the encoder's pooled buffer, so the copy must not.
+func (p *Producer) rememberBlob(key string, tags map[string]string, blob []byte, hashes []vformat.ChunkHash) {
 	cp := make([]byte, len(blob))
 	copy(cp, blob)
 	p.mu.Lock()
-	p.lastBlob, p.lastKey, p.lastTags = cp, key, tags
+	p.lastBlob, p.lastHashes, p.lastKey, p.lastTags = cp, hashes, key, tags
 	p.mu.Unlock()
 }
 
@@ -555,10 +560,14 @@ func (p *Producer) publishChunked(ctx context.Context, ckpt *vformat.Checkpoint,
 	if err != nil {
 		return nil, err
 	}
-	if p.recon {
-		p.rememberBlob(key, tags, blob)
+	hashes, err := enc.Hashes()
+	if err != nil {
+		return nil, err
 	}
-	return p.finishPublish(ctx, ckpt, key, blob, sendErr)
+	if p.recon {
+		p.rememberBlob(key, tags, blob, hashes)
+	}
+	return p.finishPublish(ctx, ckpt, key, blob, hashes, sendErr)
 }
 
 // publishDelta ships ckpt as a manifest plus only the chunk records the
@@ -574,13 +583,17 @@ func (p *Producer) publishDelta(ctx context.Context, enc *vformat.ChunkEncoder, 
 	if err != nil {
 		return nil, err
 	}
-	manifest, records, hashes, _, err := vformat.PlanDelta(blob, func(h vformat.ChunkHash) bool { return have[h] })
+	hashes, err := enc.Hashes()
+	if err != nil {
+		return nil, err
+	}
+	manifest, records, _, err := vformat.PlanDeltaHashes(blob, hashes, func(h vformat.ChunkHash) bool { return have[h] })
 	if err != nil {
 		return nil, err
 	}
 	// Remember before sending: the receiver's need-list can arrive while
 	// the tail of this stream is still leaving.
-	p.rememberBlob(key, tags, blob)
+	p.rememberBlob(key, tags, blob, hashes)
 	p.mu.Lock()
 	p.stats.DeltaSends++
 	p.mu.Unlock()
@@ -589,13 +602,14 @@ func (p *Producer) publishDelta(ctx context.Context, enc *vformat.ChunkEncoder, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return p.finishPublish(ctx, ckpt, key, blob, sendErr)
+	return p.finishPublish(ctx, ckpt, key, blob, hashes, sendErr)
 }
 
 // finishPublish completes a publish after the link attempt: delivery
-// stats, the KV staging copy (mandatory when the link failed), then
+// stats, the KV staging copy (mandatory when the link failed), the
+// durable write-through (reusing the encoder's per-chunk hashes), then
 // metadata and the push notification.
-func (p *Producer) finishPublish(ctx context.Context, ckpt *vformat.Checkpoint, key string, payload []byte, sendErr error) (*core.ModelMeta, error) {
+func (p *Producer) finishPublish(ctx context.Context, ckpt *vformat.Checkpoint, key string, payload []byte, hashes []vformat.ChunkHash, sendErr error) (*core.ModelMeta, error) {
 	version := ckpt.Version
 	p.mu.Lock()
 	if sendErr != nil {
@@ -619,7 +633,7 @@ func (p *Producer) finishPublish(ctx context.Context, ckpt *vformat.Checkpoint, 
 		return nil, err
 	}
 	if p.stage || sendErr != nil {
-		if err := p.kv.Set(core.StagingKey(p.model, version), string(payload)); err != nil {
+		if err := p.kv.SetBytes(core.StagingKey(p.model, version), payload); err != nil {
 			if sendErr != nil {
 				return nil, fmt.Errorf("remote: link send failed (%w) and staging failed: %w", sendErr, err)
 			}
@@ -641,7 +655,7 @@ func (p *Producer) finishPublish(ctx context.Context, ckpt *vformat.Checkpoint, 
 		// The payload here is always the complete self-contained blob
 		// (delta publishes stage and store the full encode), so the
 		// durable history never holds an unreplayable fragment.
-		if err := p.store.PutBlob(p.model, version, key, payload); err == nil {
+		if err := p.store.PutBlobHashes(p.model, version, key, payload, hashes); err == nil {
 			p.mu.Lock()
 			p.stats.StoredVersions++
 			p.mu.Unlock()
@@ -1134,17 +1148,19 @@ func (c *Consumer) resolveFrame(ctx context.Context, f *transport.Frame, meta *c
 }
 
 // streamRecv builds the collect loops' receive function: frames come
-// from the pump under the link-wait bound, and every chunk record of
-// the stream is mirrored into the reconciliation cache as it passes (a
-// corrupted record keys itself under the hash of its corrupted bytes,
-// which no manifest will ever reference, so caching before CRC
-// verification is safe).
-func (c *Consumer) streamRecv(ctx context.Context, key string) func() (transport.Frame, error) {
+// from the pump under the link-wait bound. With mirror set, every chunk
+// record of the stream is hashed once and mirrored into the
+// reconciliation cache as it passes (a corrupted record keys itself
+// under the hash of its corrupted bytes, which no manifest will ever
+// reference, so caching before CRC verification is safe). Delta streams
+// leave mirror off: their ManifestAssembler hashes and caches each
+// record it verifies, so mirroring too would hash every record twice.
+func (c *Consumer) streamRecv(ctx context.Context, key string, mirror bool) func() (transport.Frame, error) {
 	timer := c.clock.After(c.linkWait)
 	return func() (transport.Frame, error) {
 		select {
 		case f := <-c.frames:
-			if c.cache != nil && f.Key == key && transport.IsChunkFrame(f) {
+			if mirror && c.cache != nil && f.Key == key && transport.IsChunkFrame(f) {
 				c.cache.Put(vformat.HashChunkRecord(f.Payload), f.Payload)
 			}
 			return f, nil
@@ -1162,7 +1178,7 @@ func (c *Consumer) streamRecv(ctx context.Context, key string) func() (transport
 // receiving successive frames from the pump under the link-wait bound.
 // Decode and CRC verification happen per chunk as frames arrive.
 func (c *Consumer) collectChunkStream(ctx context.Context, header *transport.Frame, meta *core.ModelMeta) (*vformat.Checkpoint, *transport.Frame) {
-	ckpt, foreign, err := transport.CollectChunked(ctx, *header, c.streamRecv(ctx, header.Key))
+	ckpt, foreign, err := transport.CollectChunked(ctx, *header, c.streamRecv(ctx, header.Key, true))
 	if err != nil {
 		return nil, foreign
 	}
@@ -1186,7 +1202,7 @@ func (c *Consumer) collectDeltaStream(ctx context.Context, header *transport.Fra
 		return nil, nil
 	}
 	send := func(f transport.Frame) error { return c.link.Send(f) }
-	ckpt, foreign, _, err := transport.CollectChunkedDelta(ctx, *header, c.streamRecv(ctx, header.Key), send, c.cache)
+	ckpt, foreign, _, err := transport.CollectChunkedDelta(ctx, *header, c.streamRecv(ctx, header.Key, false), send, c.cache)
 	if err != nil {
 		return nil, foreign
 	}
@@ -1209,7 +1225,8 @@ func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vfor
 	if err != nil {
 		return nil, fmt.Errorf("remote: staged fetch: %w", err)
 	}
-	ckpt, err := vformat.DecodeAuto(ctx, []byte(raw), 0)
+	blob := []byte(raw)
+	ckpt, err := vformat.DecodeAuto(ctx, blob, 0)
 	if err != nil {
 		return nil, fmt.Errorf("remote: staged checkpoint: %w", err)
 	}
@@ -1221,7 +1238,7 @@ func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vfor
 		// The staged blob replenishes the reconciliation cache (a
 		// manifest-bearing blob is not a plain chunked one; the error is
 		// expected).
-		_ = c.cache.PutAll([]byte(raw))
+		_ = c.cache.PutAll(blob)
 	}
 	c.bump(func(s *ConsumerStats) { s.StagedLoads++ })
 	return ckpt, nil

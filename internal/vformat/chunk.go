@@ -432,6 +432,21 @@ func (r *headerReader) str() (string, error) {
 // checkpoint skeleton (metadata set, weights preallocated to the
 // directory's shapes), and the header's encoded length.
 func ParseChunkHeader(b []byte) (*ChunkLayout, *Checkpoint, int, error) {
+	l, c, n, err := parseChunkLayout(b)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	for i := range c.Weights {
+		c.Weights[i].Data = make([]float64, l.Tensors[i].Elems)
+	}
+	return l, c, n, nil
+}
+
+// parseChunkLayout is ParseChunkHeader without the weight storage (the
+// skeleton's tensors carry names and shapes, Data is nil): the form for
+// callers that only walk, hash or plan records, for whom a model-sized
+// allocation per parse would be garbage.
+func parseChunkLayout(b []byte) (*ChunkLayout, *Checkpoint, int, error) {
 	if len(b) < len(chunkMagic) || string(b[:len(chunkMagic)]) != chunkMagic {
 		return nil, nil, 0, fmt.Errorf("vformat: bad chunk-stream magic")
 	}
@@ -518,7 +533,7 @@ func ParseChunkHeader(b []byte) (*ChunkLayout, *Checkpoint, int, error) {
 				ErrCorruptChunk, i, elems, l.TotalElems)
 		}
 		l.Tensors[i] = ChunkTensor{Name: name, Shape: shape, Elems: elems, Start: off}
-		c.Weights[i] = nn.NamedTensor{Name: name, Shape: shape, Data: make([]float64, elems)}
+		c.Weights[i] = nn.NamedTensor{Name: name, Shape: shape}
 		off += elems
 	}
 	if off != l.TotalElems {
@@ -852,7 +867,7 @@ func DecodeChunked(ctx context.Context, blob []byte, parallelism int) (*Checkpoi
 	if err != nil {
 		return nil, err
 	}
-	_, _, headerLen, err := ParseChunkHeader(blob)
+	_, _, headerLen, err := parseChunkLayout(blob)
 	if err != nil {
 		return nil, err
 	}

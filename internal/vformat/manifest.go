@@ -10,7 +10,21 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
+
+	"viper/internal/metrics"
 )
+
+var registry = metrics.NewRegistry("vformat")
+
+// inst holds the package metrics.
+var inst = struct {
+	chunkHashes *metrics.Counter
+}{
+	chunkHashes: registry.Counter("chunk_hashes"),
+}
+
+// Metrics returns the vformat metrics registry.
+func Metrics() *metrics.Registry { return registry }
 
 // Content-addressed manifests (wire format v2.1, magic VPRM0001): every
 // v2 chunk record has a stable content hash — SHA-256 of the full
@@ -60,7 +74,16 @@ func (h ChunkHash) String() string { return hex.EncodeToString(h[:]) }
 // HashChunkRecord computes the content hash of one encoded chunk
 // record. Identical record bytes — same span, same encoded payload —
 // yield the same hash regardless of which version shipped them.
+//
+// It is the only SHA-256 pass on the byte path, so it is budgeted: a
+// record is hashed once when it enters a process — encoded locally,
+// received off the wire, or read back from disk — and that hash travels
+// with it to every later use in the process (delta planning, need-list
+// answers, cache and store writes). Every call counts in the vformat
+// registry's chunk_hashes counter, which the hash-count regression
+// tests pin per version.
 func HashChunkRecord(rec []byte) ChunkHash {
+	inst.chunkHashes.Inc()
 	sum := sha256.Sum256(rec)
 	var h ChunkHash
 	copy(h[:], sum[:ChunkHashLen])
@@ -138,7 +161,7 @@ func ParseManifest(b []byte) (*ChunkManifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	layout, _, _, err := ParseChunkHeader(header)
+	layout, _, _, err := parseChunkLayout(header)
 	if err != nil {
 		return nil, fmt.Errorf("vformat: manifest embedded header: %w", err)
 	}
@@ -168,38 +191,72 @@ func ParseManifest(b []byte) (*ChunkManifest, error) {
 // PlanDelta plans a delta send from a plain chunked blob: the manifest
 // section plus the records the have predicate does not claim (nil have
 // keeps every record). The returned records alias blob. elided is the
-// byte total of the records left out.
+// byte total of the records left out. It hashes every record; a caller
+// that already holds the hashes (the encoder does) uses
+// PlanDeltaHashes.
 func PlanDelta(blob []byte, have func(ChunkHash) bool) (manifest []byte, records [][]byte, hashes []ChunkHash, elided int64, err error) {
-	layout, _, headerLen, err := ParseChunkHeader(blob)
+	hashes, err = ChunkHashesOf(blob)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
-	hashes = make([]ChunkHash, 0, layout.NumChunks)
+	manifest, records, elided, err = PlanDeltaHashes(blob, hashes, have)
+	if err != nil {
+		return nil, nil, nil, 0, err
+	}
+	return manifest, records, hashes, elided, nil
+}
+
+// PlanDeltaHashes is PlanDelta for a blob whose record hashes the
+// caller already holds: hashes[i] must be HashChunkRecord of chunk i.
+// A hash list whose length is not the blob's chunk count is an error.
+func PlanDeltaHashes(blob []byte, hashes []ChunkHash, have func(ChunkHash) bool) (manifest []byte, records [][]byte, elided int64, err error) {
+	layout, _, headerLen, err := parseChunkLayout(blob)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	if len(hashes) != layout.NumChunks {
+		return nil, nil, 0, fmt.Errorf("vformat: %d hashes for %d chunks", len(hashes), layout.NumChunks)
+	}
+	i := 0
 	err = splitRecords(layout, blob, headerLen, func(rec []byte) error {
-		h := HashChunkRecord(rec)
-		hashes = append(hashes, h)
-		if have != nil && have(h) {
+		if have != nil && have(hashes[i]) {
 			elided += int64(len(rec))
 		} else {
 			records = append(records, rec)
 		}
+		i++
 		return nil
 	})
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, 0, err
 	}
-	return EncodeManifest(blob[:headerLen], hashes), records, hashes, elided, nil
+	return EncodeManifest(blob[:headerLen], hashes), records, elided, nil
 }
 
 // BuildManifestBlob assembles a manifest-bearing blob from a plain
 // chunked blob: the manifest section followed by every record whose
 // hash the have predicate does not claim. A nil have keeps every record
 // (a full, self-contained blob). It returns the blob, the per-chunk
-// hashes, the number of records carried, and the bytes elided.
+// hashes, the number of records carried, and the bytes elided. It
+// hashes every record; BuildManifestBlobHashes takes them instead.
 func BuildManifestBlob(blob []byte, have func(ChunkHash) bool) (delta []byte, hashes []ChunkHash, carried int, elided int64, err error) {
-	manifest, keep, hashes, elided, err := PlanDelta(blob, have)
+	hashes, err = ChunkHashesOf(blob)
 	if err != nil {
 		return nil, nil, 0, 0, err
+	}
+	delta, carried, elided, err = BuildManifestBlobHashes(blob, hashes, have)
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	return delta, hashes, carried, elided, nil
+}
+
+// BuildManifestBlobHashes is BuildManifestBlob for a blob whose record
+// hashes the caller already holds (see PlanDeltaHashes).
+func BuildManifestBlobHashes(blob []byte, hashes []ChunkHash, have func(ChunkHash) bool) (delta []byte, carried int, elided int64, err error) {
+	manifest, keep, elided, err := PlanDeltaHashes(blob, hashes, have)
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	size := len(manifest)
 	for _, rec := range keep {
@@ -210,13 +267,13 @@ func BuildManifestBlob(blob []byte, have func(ChunkHash) bool) (delta []byte, ha
 	for _, rec := range keep {
 		delta = append(delta, rec...)
 	}
-	return delta, hashes, len(keep), elided, nil
+	return delta, len(keep), elided, nil
 }
 
 // WalkChunkRecords walks the packed chunk records of a plain chunked
 // blob, calling fn with each record slice (aliasing blob).
 func WalkChunkRecords(blob []byte, fn func(rec []byte) error) error {
-	layout, _, headerLen, err := ParseChunkHeader(blob)
+	layout, _, headerLen, err := parseChunkLayout(blob)
 	if err != nil {
 		return err
 	}
@@ -255,8 +312,12 @@ func SplitManifestRecords(blob []byte, fn func(rec []byte) error) error {
 // ChunkHashesOf returns the ordered content hashes of every record in a
 // plain chunked blob.
 func ChunkHashesOf(blob []byte) ([]ChunkHash, error) {
-	var hashes []ChunkHash
-	err := WalkChunkRecords(blob, func(rec []byte) error {
+	layout, _, headerLen, err := parseChunkLayout(blob)
+	if err != nil {
+		return nil, err
+	}
+	hashes := make([]ChunkHash, 0, layout.NumChunks)
+	err = splitRecords(layout, blob, headerLen, func(rec []byte) error {
 		hashes = append(hashes, HashChunkRecord(rec))
 		return nil
 	})

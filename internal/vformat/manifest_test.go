@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"viper/internal/nn"
@@ -417,5 +418,106 @@ func TestHashListRoundTrip(t *testing.T) {
 	}
 	if _, err := SplitHashes(packed[:17]); err == nil {
 		t.Fatal("ragged hash list accepted")
+	}
+}
+
+// TestPlanDeltaHashesMatchesPlanDelta: planning from the encoder's
+// hashes is the same plan PlanDelta derives by hashing the blob —
+// byte-identical manifest, the same records in order, the same hashes
+// and elided bytes — for a full plan and a partial one, and likewise
+// for the manifest blob built from it. A hash list of the wrong length
+// is refused rather than planned against.
+func TestPlanDeltaHashesMatchesPlanDelta(t *testing.T) {
+	opts := ChunkOptions{ChunkBytes: 256}
+	base := chunkTestSnapshot(31, 900)
+	_, prevHashes := encodeFull(t, &Checkpoint{ModelName: "m", Version: 1, Weights: base}, opts)
+	blob, encHashes := encodeFull(t, &Checkpoint{ModelName: "m", Version: 2, Weights: mutateElems(base, 3, 32)}, opts)
+	held := make(map[ChunkHash]bool, len(prevHashes))
+	for _, h := range prevHashes {
+		held[h] = true
+	}
+	for _, have := range []func(ChunkHash) bool{nil, func(h ChunkHash) bool { return held[h] }} {
+		wantMan, wantRecs, wantHashes, wantElided, err := PlanDelta(blob, have)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if have != nil && (len(wantRecs) == 0 || len(wantRecs) == len(wantHashes)) {
+			t.Fatalf("fixture: %d of %d records carried, want a partial plan", len(wantRecs), len(wantHashes))
+		}
+		gotMan, gotRecs, gotElided, err := PlanDeltaHashes(blob, encHashes, have)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotMan, wantMan) || gotElided != wantElided || len(gotRecs) != len(wantRecs) {
+			t.Fatalf("plan differs: manifest equal=%v, elided %d vs %d, %d vs %d records",
+				bytes.Equal(gotMan, wantMan), gotElided, wantElided, len(gotRecs), len(wantRecs))
+		}
+		for i := range wantRecs {
+			if !bytes.Equal(gotRecs[i], wantRecs[i]) {
+				t.Fatalf("record %d differs", i)
+			}
+		}
+		if len(wantHashes) != len(encHashes) {
+			t.Fatalf("PlanDelta hashed %d chunks, encoder %d", len(wantHashes), len(encHashes))
+		}
+		for i := range wantHashes {
+			if wantHashes[i] != encHashes[i] {
+				t.Fatalf("hash %d: PlanDelta %s, encoder %s", i, wantHashes[i], encHashes[i])
+			}
+		}
+		wantBlob, _, wantCarried, _, err := BuildManifestBlob(blob, have)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotBlob, gotCarried, _, err := BuildManifestBlobHashes(blob, encHashes, have)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotBlob, wantBlob) || gotCarried != wantCarried {
+			t.Fatalf("manifest blob differs (carried %d vs %d)", gotCarried, wantCarried)
+		}
+	}
+	if len(encHashes) < 3 {
+		t.Fatalf("fixture spans only %d chunks", len(encHashes))
+	}
+	for _, bad := range [][]ChunkHash{encHashes[1:], append(append([]ChunkHash(nil), encHashes...), ChunkHash{}), nil} {
+		if _, _, _, err := PlanDeltaHashes(blob, bad, nil); err == nil {
+			t.Fatalf("%d hashes for %d chunks: want an error", len(bad), len(encHashes))
+		}
+		if _, _, _, err := BuildManifestBlobHashes(blob, bad, nil); err == nil {
+			t.Fatalf("manifest blob with %d hashes for %d chunks: want an error", len(bad), len(encHashes))
+		}
+	}
+}
+
+// TestRecordWalksDoNotAllocateWeights: walking, hashing and planning
+// records needs the header's layout, not storage for the weights. Each
+// of these used to parse the header into a weight-sized skeleton and
+// drop it — a model-sized allocation per call on the publish and relay
+// ingest paths.
+func TestRecordWalksDoNotAllocateWeights(t *testing.T) {
+	const elems = 1 << 17
+	const weightBytes = elems * 8
+	blob, hashes := encodeFull(t, &Checkpoint{ModelName: "m", Version: 1, Weights: chunkTestSnapshot(41, elems)}, ChunkOptions{ChunkBytes: 64 << 10})
+	manifest, _, _, err := PlanDeltaHashes(blob, hashes, func(ChunkHash) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	walks := map[string]func() error{
+		"WalkChunkRecords": func() error { return WalkChunkRecords(blob, func([]byte) error { return nil }) },
+		"ChunkHashesOf":    func() error { _, err := ChunkHashesOf(blob); return err },
+		"PlanDeltaHashes":  func() error { _, _, _, err := PlanDeltaHashes(blob, hashes, nil); return err },
+		"ParseManifest":    func() error { _, err := ParseManifest(manifest); return err },
+	}
+	for name, walk := range walks {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := walk(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > weightBytes/8 {
+			t.Errorf("%s allocated %d bytes for %d bytes of weights, want under an eighth", name, got, weightBytes)
+		}
 	}
 }
