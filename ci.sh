@@ -16,6 +16,12 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+# Informational, not a gate: the non-test Go line count that simplicity
+# changes report (the benchmark module and test fixtures excluded).
+echo "==> non-test Go lines (informational)"
+find . -name '*.go' ! -name '*_test.go' ! -path './e2ebench/*' ! -path '*/testdata/*' \
+    -exec cat {} + | wc -l
+
 echo "==> viper-vet ./..."
 # The full analyzer suite must be registered: a refactor that silently
 # drops an analyzer from All() would otherwise pass this gate forever.

@@ -3,7 +3,7 @@ package viper
 // End-to-end integration tests exercising the public API the way a
 // downstream application would: warm-up training, IPP planning,
 // fine-tuning with a checkpoint callback, and concurrent serving —
-// including the incremental, quantized, and multi-consumer modes.
+// including the quantized and multi-consumer modes.
 
 import (
 	"math/rand"
@@ -98,36 +98,6 @@ func TestPipelineFixedScheduleEndToEnd(t *testing.T) {
 	acc := nn.Accuracy(p.serving.Predict(p.task.Eval.X), p.task.Eval.Y)
 	if acc < 0.8 {
 		t.Fatalf("serving accuracy = %v after %d updates", acc, applied)
-	}
-}
-
-func TestPipelineIncrementalEndToEnd(t *testing.T) {
-	p := newPipeline(t, WithStrategy(Strategy{Route: RouteGPU, Mode: ModeSync}), WithIncremental(0, 5))
-	applied := p.runAndServe(t, NewFixedSchedule(4, 0), 6)
-	if applied < 3 {
-		t.Fatalf("applied %d updates, want several (ordered delta chain)", applied)
-	}
-	// One final explicit save/load pair brings the consumer fully up to
-	// date (training continued past the last scheduled checkpoint).
-	if _, err := p.producer.SaveWeights(nn.TakeSnapshot(p.task.Net), 999, 0.01); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := p.consumer.LatestMeta()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.consumer.Load(meta); err != nil {
-		t.Fatal(err)
-	}
-	// The consumer's weights must exactly match the producer's.
-	prodSnap := nn.TakeSnapshot(p.task.Net)
-	consSnap := nn.TakeSnapshot(p.serving)
-	for i := range prodSnap {
-		for j := range prodSnap[i].Data {
-			if prodSnap[i].Data[j] != consSnap[i].Data[j] {
-				t.Fatal("incremental chain diverged from producer weights")
-			}
-		}
 	}
 }
 

@@ -126,48 +126,6 @@ func TestRecoverFromPFSAfterConsumerRestart(t *testing.T) {
 	}
 }
 
-func TestRecoverFromPFSSkipsDeltas(t *testing.T) {
-	env, _ := newTestEnv()
-	src := testModel(250)
-	h, err := NewWeightsHandler(env, HandlerConfig{
-		Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync},
-		FlushHistory: true, Incremental: true, FullEvery: 10, ChunkSize: 256,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := NewConsumer(env, "m", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(251))
-	// v1 full (flushed), v2/v3 deltas (not flushed).
-	for v := 1; v <= 3; v++ {
-		nudge(src, rng, 1, 0.1)
-		if _, err := h.Save(nn.TakeSnapshot(src), uint64(v), 0.5); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := pollViaMeta(live); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if env.Cluster.PFS.Has(CheckpointKey("m", 2)) || env.Cluster.PFS.Has(CheckpointKey("m", 3)) {
-		t.Fatal("delta checkpoints must not be flushed to the PFS")
-	}
-	fresh, err := NewConsumer(env, "m", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := fresh.RecoverFromPFS()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The newest recoverable state is the full v1.
-	if rep.Meta.Version != 1 {
-		t.Fatalf("recovered version = %d, want 1 (the newest full)", rep.Meta.Version)
-	}
-}
-
 func TestRecoverFromPFSWithoutHistory(t *testing.T) {
 	env, _ := newTestEnv()
 	h, err := NewWeightsHandler(env, HandlerConfig{Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync}})
@@ -190,7 +148,7 @@ func TestProducerResumeFrom(t *testing.T) {
 	env, _ := newTestEnv()
 	src := testModel(270)
 	h1, err := NewWeightsHandler(env, HandlerConfig{
-		Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync}, Incremental: true,
+		Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,10 +167,9 @@ func TestProducerResumeFrom(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Restarted producer resumes the version sequence; its first save is
-	// full (no delta base survives).
+	// Restarted producer resumes the version sequence.
 	h2, err := NewWeightsHandler(env, HandlerConfig{
-		Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync}, Incremental: true,
+		Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +184,7 @@ func TestProducerResumeFrom(t *testing.T) {
 		t.Fatalf("resumed version = %d, want 3", rep.Meta.Version)
 	}
 	if rep.Meta.Format != "vchunk" {
-		t.Fatalf("first post-restart save format = %q, want full", rep.Meta.Format)
+		t.Fatalf("first post-restart save format = %q, want vchunk", rep.Meta.Format)
 	}
 	if _, ok, err := pollViaMeta(cons); err != nil || !ok {
 		t.Fatalf("post-restart load: %v %v", ok, err)

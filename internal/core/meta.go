@@ -106,14 +106,9 @@ type ModelMeta struct {
 	Path string `json:"path"`
 	// Size is the accounted (virtual) checkpoint size in bytes.
 	Size int64 `json:"size"`
-	// Format is the serialization: "vchunk" (a self-contained chunked
-	// v2 blob), "vrecon" (a manifest blob carrying only the chunks that
-	// changed since the previous version), or "h5" (the baseline).
+	// Format is the serialization: "vchunk" (a chunked v2 blob) or "h5"
+	// (the baseline).
 	Format string `json:"format"`
-	// Incremental marks checkpoints from an incremental ("vrecon"
-	// chain) producer: consumers must consume frames strictly in order instead
-	// of draining to the newest.
-	Incremental bool `json:"incremental,omitempty"`
 	// Relay is the serve address of the relay node caching this version
 	// (Location == "relay" only; filled in by the relay itself, empty in
 	// the producer's optimistic pre-send copy).

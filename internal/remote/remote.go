@@ -75,10 +75,6 @@ type ProducerConfig struct {
 	// Retry bounds reconnect/resend attempts on the networked paths.
 	// The zero value selects retry.Default over the wall clock.
 	Retry retry.Policy
-	// DisableStaging turns off the KV staging copies, leaving the
-	// direct link as the only delivery path (the pre-fault-tolerance
-	// behaviour).
-	DisableStaging bool
 	// LinkWrap, if set, decorates each accepted link connection (fault
 	// injection hooks in here).
 	LinkWrap func(net.Conn) net.Conn
@@ -196,7 +192,6 @@ type Producer struct {
 	link      *transport.ReconnectLink
 	policy    retry.Policy
 	clock     simclock.Clock
-	stage     bool
 	relay     bool
 	chunkSize int
 	workers   int
@@ -338,7 +333,7 @@ func NewProducer(cfg ProducerConfig) (*Producer, error) {
 	lifeCtx, lifeCancel := context.WithCancel(cfg.BaseContext)
 	p := &Producer{
 		model: cfg.Model, kv: kv, ps: ps, ln: ln, link: link, store: store,
-		policy: pol, clock: policyClock(pol), stage: !cfg.DisableStaging,
+		policy: pol, clock: policyClock(pol),
 		relay: cfg.RelayAddr != "", chunkSize: cfg.ChunkSize, workers: cfg.Parallelism,
 		recon:    !cfg.DisableDeltaReconcile,
 		deltaEps: cfg.DeltaEps,
@@ -606,9 +601,9 @@ func (p *Producer) publishDelta(ctx context.Context, enc *vformat.ChunkEncoder, 
 }
 
 // finishPublish completes a publish after the link attempt: delivery
-// stats, the KV staging copy (mandatory when the link failed), the
-// durable write-through (reusing the encoder's per-chunk hashes), then
-// metadata and the push notification.
+// stats, the KV staging copy (the only delivery when the link failed),
+// the durable write-through (reusing the encoder's per-chunk hashes),
+// then metadata and the push notification.
 func (p *Producer) finishPublish(ctx context.Context, ckpt *vformat.Checkpoint, key string, payload []byte, hashes []vformat.ChunkHash, sendErr error) (*core.ModelMeta, error) {
 	version := ckpt.Version
 	p.mu.Lock()
@@ -632,24 +627,20 @@ func (p *Producer) finishPublish(ctx context.Context, ckpt *vformat.Checkpoint, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if p.stage || sendErr != nil {
-		if err := p.kv.SetBytes(core.StagingKey(p.model, version), payload); err != nil {
-			if sendErr != nil {
-				return nil, fmt.Errorf("remote: link send failed (%w) and staging failed: %w", sendErr, err)
-			}
-			// The link carried the frame; a failed staging copy only
-			// costs redundancy.
-		} else {
-			p.mu.Lock()
-			p.stats.Staged++
-			inst.staged.Inc()
-			p.mu.Unlock()
-			if version > stagedHistory {
-				_, _ = p.kv.Del(core.StagingKey(p.model, version-stagedHistory))
-			}
+	if err := p.kv.SetBytes(core.StagingKey(p.model, version), payload); err != nil {
+		if sendErr != nil {
+			return nil, fmt.Errorf("remote: link send failed (%w) and staging failed: %w", sendErr, err)
 		}
-	} else if sendErr != nil {
-		return nil, fmt.Errorf("remote: link send: %w", sendErr)
+		// The link carried the frame; a failed staging copy only costs
+		// redundancy.
+	} else {
+		p.mu.Lock()
+		p.stats.Staged++
+		inst.staged.Inc()
+		p.mu.Unlock()
+		if version > stagedHistory {
+			_, _ = p.kv.Del(core.StagingKey(p.model, version-stagedHistory))
+		}
 	}
 	if p.store != nil {
 		// The payload here is always the complete self-contained blob
@@ -1214,9 +1205,8 @@ func (c *Consumer) collectDeltaStream(ctx context.Context, header *transport.Fra
 }
 
 // fetchStaged backfills a checkpoint from the KV staging area. The
-// staged payload is the producer's complete chunked v2 blob (or, from a
-// relay, its full manifest-bearing form), so decoding dispatches on the
-// magic.
+// staged payload is the producer's complete chunked v2 blob; the relay
+// never stages.
 func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vformat.Checkpoint, error) {
 	raw, err := c.kv.Get(core.StagingKey(c.model, meta.Version))
 	if errors.Is(err, kvstore.ErrNotFound) {
@@ -1235,9 +1225,8 @@ func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vfor
 			ckpt.ModelName, ckpt.Version, c.model, meta.Version)
 	}
 	if c.cache != nil {
-		// The staged blob replenishes the reconciliation cache (a
-		// manifest-bearing blob is not a plain chunked one; the error is
-		// expected).
+		// The staged blob replenishes the reconciliation cache; a failed
+		// seed only costs the next delta some reuse.
 		_ = c.cache.PutAll(blob)
 	}
 	c.bump(func(s *ConsumerStats) { s.StagedLoads++ })

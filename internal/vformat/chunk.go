@@ -429,24 +429,12 @@ func (r *headerReader) str() (string, error) {
 }
 
 // ParseChunkHeader parses a v2 stream header, returning the layout, the
-// checkpoint skeleton (metadata set, weights preallocated to the
-// directory's shapes), and the header's encoded length.
+// checkpoint skeleton (metadata set; tensors carry names and shapes but
+// no Data), and the header's encoded length. It allocates no weight
+// storage: callers that only walk, hash or plan records would drop a
+// model-sized allocation per parse, and ChunkAssembler allocates the
+// weights it decodes into itself.
 func ParseChunkHeader(b []byte) (*ChunkLayout, *Checkpoint, int, error) {
-	l, c, n, err := parseChunkLayout(b)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	for i := range c.Weights {
-		c.Weights[i].Data = make([]float64, l.Tensors[i].Elems)
-	}
-	return l, c, n, nil
-}
-
-// parseChunkLayout is ParseChunkHeader without the weight storage (the
-// skeleton's tensors carry names and shapes, Data is nil): the form for
-// callers that only walk, hash or plan records, for whom a model-sized
-// allocation per parse would be garbage.
-func parseChunkLayout(b []byte) (*ChunkLayout, *Checkpoint, int, error) {
 	if len(b) < len(chunkMagic) || string(b[:len(chunkMagic)]) != chunkMagic {
 		return nil, nil, 0, fmt.Errorf("vformat: bad chunk-stream magic")
 	}
@@ -782,10 +770,19 @@ func NewChunkAssembler(header []byte) (*ChunkAssembler, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newChunkAssembler(layout, ckpt), nil
+}
+
+// newChunkAssembler allocates the weights of a parsed header's skeleton
+// to the directory's shapes and wraps it as the assembly target.
+func newChunkAssembler(layout *ChunkLayout, ckpt *Checkpoint) *ChunkAssembler {
+	for i := range ckpt.Weights {
+		ckpt.Weights[i].Data = make([]float64, layout.Tensors[i].Elems)
+	}
 	return &ChunkAssembler{
 		layout: layout, ckpt: ckpt,
 		got: make([]bool, layout.NumChunks), remaining: layout.NumChunks,
-	}, nil
+	}
 }
 
 // Layout returns the stream's chunk layout.
@@ -863,14 +860,11 @@ func splitRecords(l *ChunkLayout, blob []byte, headerLen int, fn func(rec []byte
 // concatenating a streamed header and its records), decoding chunks with
 // a bounded worker pool. parallelism <= 0 selects GOMAXPROCS.
 func DecodeChunked(ctx context.Context, blob []byte, parallelism int) (*Checkpoint, error) {
-	asm, err := NewChunkAssembler(blob)
+	layout, ckpt, headerLen, err := ParseChunkHeader(blob)
 	if err != nil {
 		return nil, err
 	}
-	_, _, headerLen, err := parseChunkLayout(blob)
-	if err != nil {
-		return nil, err
-	}
+	asm := newChunkAssembler(layout, ckpt)
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -942,10 +936,7 @@ func IsChunked(blob []byte) bool {
 // Any other magic, including the retired v1 encodings, is rejected; a
 // manifest-bearing blob missing records (a wire delta that needs a
 // chunk cache) fails with ErrMissingChunk rather than decoding a torn
-// checkpoint. The VPRM case is what keeps KV-staged recovery working
-// when delta distribution is on: producers stage the full
-// manifest-bearing blob and a consumer backfilling after a relay death
-// full-decodes it here with no cache at all.
+// checkpoint.
 func DecodeAuto(ctx context.Context, blob []byte, parallelism int) (*Checkpoint, error) {
 	if len(blob) < 8 {
 		return nil, fmt.Errorf("vformat: blob too short (%d bytes)", len(blob))

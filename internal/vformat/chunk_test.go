@@ -118,8 +118,8 @@ func TestChunkedRoundTripMatrix(t *testing.T) {
 	}
 }
 
-// TestChunkedWithDeltaChain checks the incremental route at every
-// precision: the next snapshot, encoded against the previous version's
+// TestChunkedWithDeltaChain checks base-suppressed delta encoding at
+// every precision: the next snapshot, encoded against the previous version's
 // wire values and shipped as a manifest delta, must reconcile against
 // the receiver's cache to within tolerance of the true next snapshot.
 func TestChunkedWithDeltaChain(t *testing.T) {

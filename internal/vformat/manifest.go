@@ -45,8 +45,7 @@ func Metrics() *metrics.Registry { return registry }
 //
 // The CRC covers every byte from the magic through the hash list. A
 // blob carrying every record is "full" and self-contained: DecodeAuto
-// decodes it without a cache, which is what keeps KV-staged recovery
-// working when delta mode is on.
+// decodes it without a cache.
 
 const (
 	// manifestMagic starts a manifest or manifest-bearing blob.
@@ -161,7 +160,7 @@ func ParseManifest(b []byte) (*ChunkManifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	layout, _, _, err := parseChunkLayout(header)
+	layout, _, _, err := ParseChunkHeader(header)
 	if err != nil {
 		return nil, fmt.Errorf("vformat: manifest embedded header: %w", err)
 	}
@@ -210,7 +209,7 @@ func PlanDelta(blob []byte, have func(ChunkHash) bool) (manifest []byte, records
 // caller already holds: hashes[i] must be HashChunkRecord of chunk i.
 // A hash list whose length is not the blob's chunk count is an error.
 func PlanDeltaHashes(blob []byte, hashes []ChunkHash, have func(ChunkHash) bool) (manifest []byte, records [][]byte, elided int64, err error) {
-	layout, _, headerLen, err := parseChunkLayout(blob)
+	layout, _, headerLen, err := ParseChunkHeader(blob)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -237,26 +236,11 @@ func PlanDeltaHashes(blob []byte, hashes []ChunkHash, have func(ChunkHash) bool)
 // chunked blob: the manifest section followed by every record whose
 // hash the have predicate does not claim. A nil have keeps every record
 // (a full, self-contained blob). It returns the blob, the per-chunk
-// hashes, the number of records carried, and the bytes elided. It
-// hashes every record; BuildManifestBlobHashes takes them instead.
+// hashes, the number of records carried, and the bytes elided.
 func BuildManifestBlob(blob []byte, have func(ChunkHash) bool) (delta []byte, hashes []ChunkHash, carried int, elided int64, err error) {
-	hashes, err = ChunkHashesOf(blob)
+	manifest, keep, hashes, elided, err := PlanDelta(blob, have)
 	if err != nil {
 		return nil, nil, 0, 0, err
-	}
-	delta, carried, elided, err = BuildManifestBlobHashes(blob, hashes, have)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	return delta, hashes, carried, elided, nil
-}
-
-// BuildManifestBlobHashes is BuildManifestBlob for a blob whose record
-// hashes the caller already holds (see PlanDeltaHashes).
-func BuildManifestBlobHashes(blob []byte, hashes []ChunkHash, have func(ChunkHash) bool) (delta []byte, carried int, elided int64, err error) {
-	manifest, keep, elided, err := PlanDeltaHashes(blob, hashes, have)
-	if err != nil {
-		return nil, 0, 0, err
 	}
 	size := len(manifest)
 	for _, rec := range keep {
@@ -267,13 +251,13 @@ func BuildManifestBlobHashes(blob []byte, hashes []ChunkHash, have func(ChunkHas
 	for _, rec := range keep {
 		delta = append(delta, rec...)
 	}
-	return delta, len(keep), elided, nil
+	return delta, hashes, len(keep), elided, nil
 }
 
 // WalkChunkRecords walks the packed chunk records of a plain chunked
 // blob, calling fn with each record slice (aliasing blob).
 func WalkChunkRecords(blob []byte, fn func(rec []byte) error) error {
-	layout, _, headerLen, err := parseChunkLayout(blob)
+	layout, _, headerLen, err := ParseChunkHeader(blob)
 	if err != nil {
 		return err
 	}
@@ -289,8 +273,15 @@ func SplitManifestRecords(blob []byte, fn func(rec []byte) error) error {
 	if err != nil {
 		return err
 	}
-	stride := man.Layout.Precision.BytesPerElement()
-	tail := blob[man.Len:]
+	return splitPacked(man.Layout, blob[man.Len:], fn)
+}
+
+// splitPacked walks any number of chunk records packed back-to-back (a
+// manifest-bearing blob's tail), calling fn with each record slice.
+// Unlike splitRecords it expects no fixed count: the tail may carry any
+// subset of the layout's chunks.
+func splitPacked(l *ChunkLayout, tail []byte, fn func(rec []byte) error) error {
+	stride := l.Precision.BytesPerElement()
 	off := 0
 	for off < len(tail) {
 		if off+chunkRecHeaderLen > len(tail) {
@@ -298,7 +289,7 @@ func SplitManifestRecords(blob []byte, fn func(rec []byte) error) error {
 		}
 		count := int(binary.LittleEndian.Uint32(tail[off+16:]))
 		size := chunkRecOverhead + count*stride
-		if count > man.Layout.ChunkElems || off+size > len(tail) {
+		if count > l.ChunkElems || off+size > len(tail) {
 			return fmt.Errorf("%w: record overruns manifest blob", ErrCorruptChunk)
 		}
 		if err := fn(tail[off : off+size]); err != nil {
@@ -312,7 +303,7 @@ func SplitManifestRecords(blob []byte, fn func(rec []byte) error) error {
 // ChunkHashesOf returns the ordered content hashes of every record in a
 // plain chunked blob.
 func ChunkHashesOf(blob []byte) ([]ChunkHash, error) {
-	layout, _, headerLen, err := parseChunkLayout(blob)
+	layout, _, headerLen, err := ParseChunkHeader(blob)
 	if err != nil {
 		return nil, err
 	}
@@ -477,32 +468,14 @@ func NewManifestAssembler(blob []byte, cache *ChunkCache) (*ManifestAssembler, e
 		}
 	}
 	// Then any records the blob carries inline.
-	if err := a.addPacked(blob[man.Len:]); err != nil {
+	err = splitPacked(man.Layout, blob[man.Len:], func(rec []byte) error {
+		_, err := a.Add(rec)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return a, nil
-}
-
-// addPacked walks records packed back-to-back (a manifest-bearing
-// blob's tail) and adds each.
-func (a *ManifestAssembler) addPacked(tail []byte) error {
-	stride := a.man.Layout.Precision.BytesPerElement()
-	off := 0
-	for off < len(tail) {
-		if off+chunkRecHeaderLen > len(tail) {
-			return fmt.Errorf("%w: truncated record after manifest", ErrCorruptChunk)
-		}
-		count := int(binary.LittleEndian.Uint32(tail[off+16:]))
-		size := chunkRecOverhead + count*stride
-		if count > a.man.Layout.ChunkElems || off+size > len(tail) {
-			return fmt.Errorf("%w: record overruns manifest blob", ErrCorruptChunk)
-		}
-		if _, err := a.Add(tail[off : off+size]); err != nil {
-			return err
-		}
-		off += size
-	}
-	return nil
 }
 
 // Manifest returns the parsed manifest.

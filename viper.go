@@ -26,9 +26,12 @@
 //	report, _ := cons.HandleNotification(<-sub.C)
 //
 // Every producer ships checkpoints in one wire format: the chunked v2
-// pipeline (fixed-size chunks, per-chunk CRC, pooled buffers), whose
-// manifest form carries only the chunks that changed in incremental
-// mode. The h5 layout survives only as the paper's baseline strategy.
+// pipeline (fixed-size chunks, per-chunk CRC, pooled buffers), and a
+// consumer always installs the latest version it has received — the
+// paper's "only buffer the latest DNN model". Shipping only the chunks
+// that changed between versions is the networked tier's job
+// (internal/remote and internal/relay). The h5 layout survives only as
+// the paper's baseline strategy.
 package viper
 
 import (
@@ -131,18 +134,6 @@ func WithPrecision(p Precision) Option {
 	return func(c *producerConfig) { c.handler.Precision = p }
 }
 
-// WithIncremental enables Check-N-Run-style delta checkpoints: between
-// self-contained full refreshes every fullEvery versions (0 = the
-// default cadence), a save ships only the chunks that changed, with
-// element changes below eps suppressed (0 = exact).
-func WithIncremental(eps float64, fullEvery int) Option {
-	return func(c *producerConfig) {
-		c.handler.Incremental = true
-		c.handler.DeltaEps = eps
-		c.handler.FullEvery = fullEvery
-	}
-}
-
 // WithVirtualSize makes transfer-time accounting charge for a
 // checkpoint of the given size in bytes instead of the real payload
 // (paper-scale simulations on small stand-in models).
@@ -169,11 +160,11 @@ func WithParallelism(n int) Option {
 }
 
 // WithTimeTravel attaches a durable time-travel store rooted at dir:
-// each self-contained checkpoint is persisted as content-addressed
-// chunks (shared bytes dedup across versions), the newest keep versions
-// are retained (0 = unbounded), and Producer.LoadVersion/Rollback
-// travel the retained history. The store recovers its full inventory
-// across producer restarts, resuming the version lineage.
+// each checkpoint is persisted as content-addressed chunks (shared
+// bytes dedup across versions), the newest keep versions are retained
+// (0 = unbounded), and Producer.LoadVersion/Rollback travel the
+// retained history. The store recovers its full inventory across
+// producer restarts, resuming the version lineage.
 func WithTimeTravel(dir string, keep int) Option {
 	return func(c *producerConfig) {
 		c.timeTravelDir = dir
@@ -304,26 +295,9 @@ func WithBaseContext(ctx context.Context) ConsumerOption {
 	return func(o *core.ConsumerOptions) { o.BaseContext = ctx }
 }
 
-// WithDeltaReconcile toggles chunk-level delta reconciliation (default
-// on): the consumer caches the chunk records of installed checkpoints
-// so an incremental chunked producer can ship only the chunks that
-// changed ("vrecon") and the rest reconcile locally. Turning it off
-// drops the cache; pair it with a producer configured for full
-// streams.
-func WithDeltaReconcile(on bool) ConsumerOption {
-	return func(o *core.ConsumerOptions) { o.DisableDeltaReconcile = !on }
-}
-
-// WithChunkHashCache bounds the consumer's chunk cache to n records
-// (0 = a default sized for a few snapshots at DefaultChunkSize).
-func WithChunkHashCache(n int) ConsumerOption {
-	return func(o *core.ConsumerOptions) { o.ChunkHashCache = n }
-}
-
 // NewConsumer constructs the inference-side runtime — the paper's
 // load_weights(model). Without options it shares the environment's
-// primary links, serves no live model instance, and reconciles chunk
-// deltas against a default-sized cache.
+// primary links and serves no live model instance.
 func NewConsumer(env *Env, model string, opts ...ConsumerOption) (*Consumer, error) {
 	var o core.ConsumerOptions
 	for _, opt := range opts {
